@@ -3,17 +3,16 @@ compositions, and the accompanying accuracy/complexity analysis toolkit."""
 
 from .factors import (FACTOR_LABELS, MultiplicationError, STAGE_ADDITIONS,
                       SparseFactor, TOTAL_ADDITIONS, all_factors, build_b, build_w)
-from .transforms import (Adft32Factorization, OUTPUT_SCALE, adft32_apply,
-                         adft32_factorization, adft32_matrix, best_fit_scale,
-                         dft_direct, dft_matrix, fft_radix2, idft_direct)
+from .transforms import (OUTPUT_SCALE, adft32_apply, adft32_matrix, best_fit_scale,
+                         dft_direct, dft_matrix, factor_product, fft_radix2,
+                         idft_direct)
 from .radix32 import (APPROX_VARIANTS, SIZE, TransformSpec, TwiddleMatrix,
                       Variant, VARIANTS, invvec, transform_1024,
                       transform_matrix, twiddle_matrix, vec)
 from .complexity import (ADFT32_CIRCUIT, ADFT32_SEQUENTIAL, CircuitReport,
                          ComplexMultScheme, ComplexityReport, CostModel,
                          DFT32_CIRCUIT, DFT32_SEQUENTIAL, NONTRIVIAL_TWIDDLES,
-                         RADIX2_1024, SPLIT_RADIX_1024, TWIDDLE_CIRCUIT,
-                         WINOGRAD_1024, adft32_addition_profile,
+                         RADIX2_1024, TWIDDLE_CIRCUIT, adft32_addition_profile,
                          circuit_complexity, count_instrumented_adft32,
                          count_sequential, twiddle_cost)
 from .analysis import (BeamPattern, DB_FLOOR, FrequencyGrid, RowErrorStats,

@@ -11,7 +11,6 @@ across the same rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -250,35 +249,33 @@ def snr_monte_carlo(spec: TransformSpec, bins, replicates: int = 10_000,
         raise ValueError("variance estimation needs at least two replicates")
     if noise_var <= 0:
         raise ValueError("noise variance must be positive")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
 
-    rows_var = transform_matrix(spec)[bins]
-    rows_ex = transform_matrix(TransformSpec(Variant.EXACT))[bins]
+    # Variant rows, then exact rows: each noise chunk feeds both in one matmul.
+    rows = np.concatenate([transform_matrix(spec)[bins],
+                           transform_matrix(TransformSpec(Variant.EXACT))[bins]])
     n = np.arange(SIZE)
     probes = np.exp(2j * np.pi * np.outer(bins, n) / SIZE)
-    det_var = np.einsum("bn,bn->b", rows_var, probes)
-    det_ex = np.einsum("bn,bn->b", rows_ex, probes)
+    det = np.einsum("bn,bn->b", rows, np.concatenate([probes, probes]))
 
-    sums = {"var": np.zeros(bins.size, complex), "ex": np.zeros(bins.size, complex)}
-    sq = {"var": np.zeros(bins.size), "ex": np.zeros(bins.size)}
+    sums = np.zeros(rows.shape[0], complex)
+    sq = np.zeros(rows.shape[0])
     done = 0
     while done < replicates:
         count = min(chunk, replicates - done)
         noise = np.empty((count, SIZE), dtype=complex)
         for i in range(count):
             noise[i] = _noise_stream(seed, done + i, SIZE, noise_var)
-        for key, rows, det in (("var", rows_var, det_var), ("ex", rows_ex, det_ex)):
-            outputs = noise @ rows.T + det
-            sums[key] += outputs.sum(axis=0)
-            sq[key] += (outputs.real ** 2 + outputs.imag ** 2).sum(axis=0)
+        outputs = noise @ rows.T + det
+        sums += outputs.sum(axis=0)
+        sq += (outputs.real ** 2 + outputs.imag ** 2).sum(axis=0)
         done += count
 
-    def snr_db(key):
-        mean = sums[key] / replicates
-        var = (sq[key] - replicates * np.abs(mean) ** 2) / (replicates - 1)
-        return 10 * np.log10(np.abs(mean) ** 2 / var)
-
-    snr_ex = snr_db("ex")
-    snr_var = snr_db("var")
+    mean = sums / replicates
+    var = (sq - replicates * np.abs(mean) ** 2) / (replicates - 1)
+    snr = 10 * np.log10(np.abs(mean) ** 2 / var)
+    snr_var, snr_ex = snr[:bins.size], snr[bins.size:]
     deg = snr_ex - snr_var
     return SnrReport(
         variant=spec.variant,
@@ -317,24 +314,14 @@ def default_angles(count: int = 4096) -> np.ndarray:
     return np.linspace(-np.pi / 2, np.pi / 2, count)
 
 
-@lru_cache(maxsize=1)
-def _steering_cache(count: int) -> np.ndarray:
-    angles = default_angles(count)
-    a = np.exp(1j * np.pi * np.outer(np.arange(SIZE), np.sin(angles)))
-    a.setflags(write=False)
-    return a
-
-
 def beam_pattern(spec: TransformSpec, k: int, angles: np.ndarray | None = None) -> BeamPattern:
     """Beam pattern of bin k: row_k of the variant against e^{j*pi*n*sin(theta)}."""
     if not 0 <= k < SIZE:
         raise ValueError(f"bin index must lie in 0..{SIZE - 1}")
-    if angles is None:
-        angles = default_angles()
-        steering = _steering_cache(angles.size)
-    else:
-        angles = np.asarray(angles, dtype=float)
-        steering = np.exp(1j * np.pi * np.outer(np.arange(SIZE), np.sin(angles)))
+    angles = default_angles() if angles is None else np.asarray(angles, dtype=float)
+    if angles.size == 0:
+        raise ValueError("at least one steering angle is required")
+    steering = np.exp(1j * np.pi * np.outer(np.arange(SIZE), np.sin(angles)))
     row_var = transform_matrix(spec)[k]
     row_ex = transform_matrix(TransformSpec(Variant.EXACT))[k]
     gain = row_var @ steering

@@ -20,7 +20,7 @@ from . import analysis, complexity, reports
 from .factors import FACTOR_LABELS, STAGE_ADDITIONS, SparseFactor, all_factors, build_w
 from .radix32 import (APPROX_VARIANTS, SIZE, TransformSpec, Variant, VARIANTS,
                       invvec, transform_1024, transform_matrix, twiddle_matrix, vec)
-from .transforms import OUTPUT_SCALE, dft_direct, dft_matrix, fft_radix2
+from .transforms import OUTPUT_SCALE, dft_direct, dft_matrix, factor_product, fft_radix2
 
 ENV_OUT_DIR = "ADFT1024_OUT_DIR"
 
@@ -41,7 +41,6 @@ class RunConfig:
     replicates: int = 10_000
     seed: int = 0
     cost_model: str = "paper"
-    fmt: str = "csv"
 
     @classmethod
     def field_names(cls):
@@ -63,10 +62,6 @@ class RunConfig:
             current = getattr(cfg, key)
             setattr(cfg, key, type(current)(value) if not isinstance(current, str) else value)
         return cfg
-
-
-def _variant(name: str) -> Variant:
-    return Variant(name)
 
 
 def _parse_bins(text: str) -> list[int]:
@@ -144,7 +139,7 @@ def _resolve_config(args) -> RunConfig:
 
 def cmd_gen_matrix(args, cfg: RunConfig) -> int:
     out = Path(cfg.out_dir)
-    variant = _variant(cfg.variant)
+    variant = Variant(cfg.variant)
     if args.what == "factors":
         if variant is Variant.EXACT:
             print("error: the exact variant has no sparse factors", file=sys.stderr)
@@ -227,9 +222,7 @@ def _verify_counts(results, factors) -> None:
 
 
 def _verify_error(results, factors, rng) -> None:
-    product = np.eye(32, dtype=complex)
-    for f in factors:
-        product = f.to_dense() @ product
+    product = factor_product(factors)
     integer = (np.all(product.real == np.rint(product.real))
                and np.all(product.imag == np.rint(product.imag)))
     _check(results, "gaussian-integer-closure", integer, "raw product entries")
@@ -241,9 +234,8 @@ def _verify_error(results, factors, rng) -> None:
     invertible = all(abs(np.linalg.det(f.to_dense())) > 1e-9 for f in factors)
     _check(results, "factor-invertibility", invertible, "all eight stages")
     grid = analysis.FrequencyGrid.default(8192)
-    h_exact = np.fft.fft(dft_matrix(32) * (-1.0) ** np.arange(32), n=grid.count, axis=1)
-    h_hat = np.fft.fft((OUTPUT_SCALE * product) * (-1.0) ** np.arange(32),
-                       n=grid.count, axis=1)
+    h_exact = analysis._responses(dft_matrix(32), grid)
+    h_hat = analysis._responses(OUTPUT_SCALE * product, grid)
     peak = np.abs(h_exact).max(axis=1)
     worst = float((np.abs(h_hat - h_exact).max(axis=1) / peak).max())
     worst_db = 20 * np.log10(worst)
@@ -293,7 +285,7 @@ def cmd_complexity(args, cfg: RunConfig) -> int:
 
 def cmd_filterbank(args, cfg: RunConfig) -> int:
     out = Path(cfg.out_dir)
-    variant = _variant(cfg.variant)
+    variant = Variant(cfg.variant)
     grid = analysis.FrequencyGrid.default(cfg.grid_size)
     stats = analysis.filterbank_error(TransformSpec(variant), grid)
     reports.write_table_csv(
@@ -314,11 +306,8 @@ def cmd_filterbank(args, cfg: RunConfig) -> int:
 
 def cmd_snr(args, cfg: RunConfig) -> int:
     out = Path(cfg.out_dir)
-    variant = _variant(cfg.variant)
+    variant = Variant(cfg.variant)
     bins = args.bins if args.bins is not None else list(range(0, SIZE, SIZE // 64))
-    if any(b < 0 or b >= SIZE for b in bins):
-        print(f"error: bins must lie in 0..{SIZE - 1}", file=sys.stderr)
-        return 2
     report = analysis.snr_monte_carlo(
         TransformSpec(variant), bins, replicates=cfg.replicates,
         noise_var=args.noise_var, seed=cfg.seed)
@@ -334,7 +323,7 @@ def cmd_snr(args, cfg: RunConfig) -> int:
 
 def cmd_beams(args, cfg: RunConfig) -> int:
     out = Path(cfg.out_dir)
-    variant = _variant(cfg.variant)
+    variant = Variant(cfg.variant)
     if any(b < 0 or b >= SIZE for b in args.bins):
         print(f"error: bins must lie in 0..{SIZE - 1}", file=sys.stderr)
         return 2
@@ -370,6 +359,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return _COMMANDS[args.command](args, cfg)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -14,15 +14,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .factors import MultiplicationError, TOTAL_ADDITIONS
+from .factors import MultiplicationError, TOTAL_ADDITIONS, all_factors
 from .radix32 import Variant
-from .transforms import adft32_factorization
 
 # Sequential real-operation reference totals for the full 1024-point
 # transform paths (multiplications, additions).
 RADIX2_1024 = (10248, 30728)
-SPLIT_RADIX_1024 = (7172, 27652)
-WINOGRAD_1024 = (10248, 30728)
 
 # One 32-point block, sequential: exact kernel via radix-2, and the
 # adds-only kernel.
@@ -221,7 +218,7 @@ def adft32_addition_profile() -> list[int]:
     re = [CountingFloat(0.0, counter) for _ in range(32)]
     im = [CountingFloat(0.0, counter) for _ in range(32)]
     profile = []
-    for f in adft32_factorization().factors:
+    for f in all_factors():
         before = counter.adds
         re, im = f.apply_scalars(re, im)
         profile.append(counter.adds - before)

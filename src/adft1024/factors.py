@@ -367,6 +367,7 @@ def build_w(k: int) -> SparseFactor:
     return w
 
 
+@lru_cache(maxsize=1)
 def all_factors() -> tuple[SparseFactor, ...]:
     """All eight stages in application order (W0 first)."""
     return tuple(build_w(k) for k in range(8))

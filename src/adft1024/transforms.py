@@ -11,12 +11,11 @@ raw product scaled by 1/sqrt(32).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .factors import SparseFactor, all_factors
+from .factors import all_factors
 
 # Normalization applied after the adds-only factor chain.  The raw product
 # approximates the unnormalized exact kernel one-for-one (unit-magnitude
@@ -87,29 +86,18 @@ def fft_radix2(x: np.ndarray) -> np.ndarray:
     return y / math.sqrt(n)
 
 
-@dataclass(frozen=True)
-class Adft32Factorization:
-    """The eight-stage kernel plus the scalar applied after the chain."""
-
-    factors: tuple[SparseFactor, ...]
-    output_scale: float
-
-    def stage_addition_counts(self) -> list[int]:
-        return [f.real_addition_count() for f in self.factors]
-
-
-@lru_cache(maxsize=1)
-def adft32_factorization() -> Adft32Factorization:
-    return Adft32Factorization(factors=all_factors(), output_scale=OUTPUT_SCALE)
+def factor_product(factors) -> np.ndarray:
+    """Unscaled dense product of factors in application order: F[-1] @ ... @ F[0]."""
+    out = np.eye(32, dtype=complex)
+    for f in factors:
+        out = f.to_dense() @ out
+    return out
 
 
 @lru_cache(maxsize=4)
 def _adft32_product() -> np.ndarray:
     """Raw factor product (Gaussian-integer entries, no scaling)."""
-    out = np.eye(32, dtype=complex)
-    for f in adft32_factorization().factors:
-        out = f.to_dense() @ out
-    return _readonly(out)
+    return _readonly(factor_product(all_factors()))
 
 
 def adft32_matrix(scale: float | None = None) -> np.ndarray:
@@ -135,7 +123,7 @@ def adft32_apply(x: np.ndarray, scale: float | None = None) -> np.ndarray:
     if x.shape[0] != 32:
         raise ValueError("kernel input must have leading dimension 32")
     y = x
-    for f in adft32_factorization().factors:
+    for f in all_factors():
         y = f.apply(y)
     s = OUTPUT_SCALE if scale is None else scale
     return y if s == 1.0 else s * y

@@ -54,8 +54,9 @@ def test_verify_subset_flag(capsys):
     assert "fft32-vs-direct" not in out
 
 
-def test_verify_detects_corrupted_stage(capsys):
-    assert run("verify", "--only", "error", "--corrupt-factor", "W7") == 1
+@pytest.mark.parametrize("label", [f"W{k}" for k in range(8)])
+def test_verify_detects_corrupted_stage(capsys, label):
+    assert run("verify", "--only", "error", "--corrupt-factor", label) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
 
@@ -88,6 +89,25 @@ def test_snr_output_is_deterministic(tmp_path):
 def test_snr_rejects_out_of_range_bins(tmp_path):
     assert run("--out-dir", str(tmp_path), "snr", "--variant", "alg1",
                "--replicates", "100", "--bins", "0,5000") == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("filterbank", "--variant", "alg1", "--grid-size", "1"),
+    ("snr", "--variant", "alg1", "--replicates", "1"),
+    ("snr", "--variant", "alg1", "--replicates", "100", "--seed", "-1"),
+    ("snr", "--variant", "alg1", "--replicates", "100", "--noise-var", "0"),
+    ("beams", "--variant", "alg1", "--bins", "3", "--angles", "0"),
+    ("--config", "{config}", "snr", "--variant", "alg1", "--bins", "0"),
+], ids=["grid-size-1", "replicates-1", "seed-negative", "noise-var-0", "angles-0",
+        "config-replicates-1"])
+def test_bad_values_exit_2_with_one_line(tmp_path, capsys, argv):
+    config = tmp_path / "run.cfg"
+    config.write_text("replicates = 1\n")
+    argv = [a.format(config=config) for a in argv]
+    assert run("--out-dir", str(tmp_path), *argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_beams_emit_one_file_per_bin(tmp_path):

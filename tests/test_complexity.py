@@ -4,8 +4,7 @@ import pytest
 
 from adft1024.complexity import (ADFT32_SEQUENTIAL, ComplexMultScheme,
                                  CostModel, DFT32_SEQUENTIAL, NONTRIVIAL_TWIDDLES,
-                                 RADIX2_1024, SPLIT_RADIX_1024, WINOGRAD_1024,
-                                 adft32_addition_profile, circuit_complexity,
+                                 RADIX2_1024, adft32_addition_profile, circuit_complexity,
                                  count_instrumented_adft32, count_sequential,
                                  twiddle_cost)
 from adft1024.factors import MultiplicationError, STAGE_ADDITIONS
@@ -62,8 +61,6 @@ def test_multiplication_counts_are_monotone():
 
 def test_reference_constants():
     assert RADIX2_1024 == (10248, 30728)
-    assert SPLIT_RADIX_1024 == (7172, 27652)
-    assert WINOGRAD_1024 == (10248, 30728)
     assert DFT32_SEQUENTIAL == (88, 408)
     assert ADFT32_SEQUENTIAL == (0, 348)
 

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adft1024.transforms import (OUTPUT_SCALE, adft32_apply, adft32_factorization,
-                                 adft32_matrix, best_fit_scale, dft_direct,
-                                 dft_matrix, fft_radix2, idft_direct)
+from adft1024.factors import all_factors
+from adft1024.transforms import (OUTPUT_SCALE, adft32_apply, adft32_matrix,
+                                 best_fit_scale, dft_direct, dft_matrix,
+                                 factor_product, fft_radix2, idft_direct)
 
 from conftest import complex_vector
 
@@ -110,16 +111,14 @@ def test_fft_radix2_thousand_vector_oracle(rng):
 
 
 def test_factorization_shape_and_scale():
-    fact = adft32_factorization()
-    assert len(fact.factors) == 8
-    assert fact.output_scale == OUTPUT_SCALE == pytest.approx(1 / math.sqrt(32))
-    assert sum(fact.stage_addition_counts()) == 348
+    factors = all_factors()
+    assert len(factors) == 8
+    assert OUTPUT_SCALE == pytest.approx(1 / math.sqrt(32))
+    assert sum(f.real_addition_count() for f in factors) == 348
 
 
 def test_product_identical_under_two_evaluation_orders():
-    left_fold = np.eye(32, dtype=complex)
-    for f in adft32_factorization().factors:
-        left_fold = f.to_dense() @ left_fold
+    left_fold = factor_product(all_factors())
     by_columns = adft32_apply(np.eye(32, dtype=complex), scale=1.0)
     np.testing.assert_array_equal(left_fold, by_columns)
 
