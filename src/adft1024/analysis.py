@@ -247,8 +247,8 @@ def snr_monte_carlo(spec: TransformSpec, bins, replicates: int = 10_000,
         raise ValueError(f"bins must lie in 0..{SIZE - 1}")
     if replicates < 2:
         raise ValueError("variance estimation needs at least two replicates")
-    if noise_var <= 0:
-        raise ValueError("noise variance must be positive")
+    if not (np.isfinite(noise_var) and noise_var > 0):
+        raise ValueError("noise variance must be positive and finite")
     if seed < 0:
         raise ValueError("seed must be non-negative")
 
@@ -311,6 +311,8 @@ class BeamPattern:
 
 
 def default_angles(count: int = 4096) -> np.ndarray:
+    if count < 1:
+        raise ValueError(f"angle count must be >= 1, got {count}")
     return np.linspace(-np.pi / 2, np.pi / 2, count)
 
 

@@ -53,7 +53,6 @@ class SparseFactor:
     size: int
     entries: tuple[tuple[int, int, complex], ...]
     _rows: tuple = field(init=False, repr=False, compare=False)
-    _plan: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen = set()
@@ -72,26 +71,6 @@ class SparseFactor:
         if any(not terms for terms in rows):
             raise ValueError(f"{self.label}: has an all-zero row")
         self._rows = tuple(tuple(t) for t in rows)
-        self._plan = self._build_plan()
-
-    def _build_plan(self):
-        """Group entries by (term position, coefficient) for vector routing.
-
-        Within one term position every output row appears at most once, so
-        gathered contributions can be combined with plain fancy-indexed
-        assignment (position 0) or in-place adds (later positions).
-        """
-        groups: dict[tuple[int, complex], list[tuple[int, int]]] = {}
-        for r, terms in enumerate(self._rows):
-            for pos, (c, v) in enumerate(terms):
-                groups.setdefault((pos, v), []).append((r, c))
-        plan = []
-        for (pos, v), pairs in sorted(groups.items(), key=lambda g: (g[0][0], repr(g[0][1]))):
-            rows = np.array([p[0] for p in pairs], dtype=np.intp)
-            cols = np.array([p[1] for p in pairs], dtype=np.intp)
-            assert len(set(rows.tolist())) == len(rows)
-            plan.append((pos, v, rows, cols))
-        return tuple(plan)
 
     def nonzeros_per_row(self) -> np.ndarray:
         return np.array([len(t) for t in self._rows])
@@ -106,49 +85,30 @@ class SparseFactor:
             out[r, c] = v
         return out
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Multiply this factor onto x ((size,) or (size, batch)).
-
-        Internally uses gathers, adds/subtracts and lane swaps; coefficients
-        are never multiplied in.
-        """
-        x = np.asarray(x, dtype=complex)
-        if x.shape[0] != self.size:
-            raise ValueError(f"{self.label}: expected leading dimension {self.size}")
-        re = np.ascontiguousarray(x.real)
-        im = np.ascontiguousarray(x.imag)
-        out_re = np.empty_like(re)
-        out_im = np.empty_like(im)
-        for pos, v, rows, cols in self._plan:
-            src_re, src_im = _route(v, re[cols], im[cols])
-            if pos == 0:
-                out_re[rows] = src_re
-                out_im[rows] = src_im
-            else:
-                out_re[rows] += src_re
-                out_im[rows] += src_im
-        out = np.empty(x.shape, dtype=complex)
-        out.real = out_re
-        out.imag = out_im
-        return out
-
     def apply_scalars(self, re: list, im: list) -> tuple[list, list]:
         """Apply to separate re/im lanes of scalar-like objects.
 
-        Works with anything supporting +, - and unary negation; used both as
-        a slow reference path and to drive instrumented operation counting.
+        A lane is anything supporting +, - and unary negation: a float, a
+        numpy row array (as adft32_apply passes) or an op-counting stand-in.
+        Each output row is one add/subtract chain from a routed first term.
         """
-        out_re = [None] * self.size
-        out_im = [None] * self.size
-        for r, terms in enumerate(self._rows):
+        if len(re) != self.size or len(im) != self.size:
+            raise ValueError(f"{self.label}: expected {self.size} re/im lanes")
+        out_re, out_im = [], []
+        for terms in self._rows:
             c0, v0 = terms[0]
             acc_re, acc_im = _route(v0, re[c0], im[c0])
             for c, v in terms[1:]:
-                t_re, t_im = _route(v, re[c], im[c])
-                acc_re = acc_re + t_re
-                acc_im = acc_im + t_im
-            out_re[r] = acc_re
-            out_im[r] = acc_im
+                if v == 1:
+                    acc_re, acc_im = acc_re + re[c], acc_im + im[c]
+                elif v == -1:
+                    acc_re, acc_im = acc_re - re[c], acc_im - im[c]
+                elif v == 1j:
+                    acc_re, acc_im = acc_re - im[c], acc_im + re[c]
+                else:
+                    acc_re, acc_im = acc_re + im[c], acc_im - re[c]
+            out_re.append(acc_re)
+            out_im.append(acc_im)
         return out_re, out_im
 
 

@@ -24,6 +24,8 @@ from .factors import all_factors
 # reproduce.
 OUTPUT_SCALE = 1.0 / math.sqrt(32.0)
 
+_COLUMN_CHUNK = 1024  # columns per adft32_apply pass: 256 KiB per re/im lane set
+
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
@@ -115,18 +117,29 @@ def adft32_matrix(scale: float | None = None) -> np.ndarray:
 def adft32_apply(x: np.ndarray, scale: float | None = None) -> np.ndarray:
     """Apply the 32-point kernel to x ((32,) or (32, B)).
 
-    The factor chain itself uses additions, subtractions and re/im swaps
-    only; the output scale is one final scalar multiply (skip it with
-    scale=1.0 to stay on the pure integer path).
+    Runs the counted adds-only row chains (SparseFactor.apply_scalars) on
+    contiguous re/im row lanes, _COLUMN_CHUNK columns per pass.  The output
+    scale is one final scalar multiply (skip it with scale=1.0 to stay on
+    the pure integer path).
     """
     x = np.asarray(x, dtype=complex)
     if x.shape[0] != 32:
         raise ValueError("kernel input must have leading dimension 32")
-    y = x
-    for f in all_factors():
-        y = f.apply(y)
+    y = np.empty(x.shape, dtype=complex)
+    cols_in = x.reshape(32, x.size // 32)
+    cols_out = y.reshape(cols_in.shape)
+    for start in range(0, cols_in.shape[1], _COLUMN_CHUNK):
+        cols = slice(start, start + _COLUMN_CHUNK)
+        re = list(np.ascontiguousarray(cols_in[:, cols].real))
+        im = list(np.ascontiguousarray(cols_in[:, cols].imag))
+        for f in all_factors():
+            re, im = f.apply_scalars(re, im)
+        cols_out.real[:, cols] = re
+        cols_out.imag[:, cols] = im
     s = OUTPUT_SCALE if scale is None else scale
-    return y if s == 1.0 else s * y
+    if s != 1.0:
+        y *= s
+    return y
 
 
 def best_fit_scale(approx: np.ndarray, exact: np.ndarray) -> float:

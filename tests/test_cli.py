@@ -91,16 +91,19 @@ def test_snr_rejects_out_of_range_bins(tmp_path):
                "--replicates", "100", "--bins", "0,5000") == 2
 
 
-@pytest.mark.parametrize("argv", [
-    ("filterbank", "--variant", "alg1", "--grid-size", "1"),
-    ("snr", "--variant", "alg1", "--replicates", "1"),
-    ("snr", "--variant", "alg1", "--replicates", "100", "--seed", "-1"),
-    ("snr", "--variant", "alg1", "--replicates", "100", "--noise-var", "0"),
-    ("beams", "--variant", "alg1", "--bins", "3", "--angles", "0"),
-    ("--config", "{config}", "snr", "--variant", "alg1", "--bins", "0"),
-], ids=["grid-size-1", "replicates-1", "seed-negative", "noise-var-0", "angles-0",
-        "config-replicates-1"])
-def test_bad_values_exit_2_with_one_line(tmp_path, capsys, argv):
+@pytest.mark.parametrize("argv, expect", [
+    (("filterbank", "--variant", "alg1", "--grid-size", "1"), ""),
+    (("snr", "--variant", "alg1", "--replicates", "1"), ""),
+    (("snr", "--variant", "alg1", "--replicates", "100", "--seed", "-1"), ""),
+    (("snr", "--variant", "alg1", "--replicates", "100", "--noise-var", "0"), ""),
+    (("snr", "--variant", "alg1", "--replicates", "100", "--noise-var", "nan"), ""),
+    (("snr", "--variant", "alg1", "--replicates", "100", "--noise-var", "inf"), ""),
+    (("beams", "--variant", "alg1", "--bins", "3", "--angles", "0"), ""),
+    (("beams", "--variant", "alg1", "--bins", "3", "--angles", "-1"), "angle count"),
+    (("--config", "{config}", "snr", "--variant", "alg1", "--bins", "0"), ""),
+], ids=["grid-size-1", "replicates-1", "seed-negative", "noise-var-0", "noise-var-nan",
+        "noise-var-inf", "angles-0", "angles-negative", "config-replicates-1"])
+def test_bad_values_exit_2_with_one_line(tmp_path, capsys, argv, expect):
     config = tmp_path / "run.cfg"
     config.write_text("replicates = 1\n")
     argv = [a.format(config=config) for a in argv]
@@ -108,6 +111,7 @@ def test_bad_values_exit_2_with_one_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert expect in err
 
 
 def test_beams_emit_one_file_per_bin(tmp_path):

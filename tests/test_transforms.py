@@ -1,6 +1,7 @@
 """Exact transform oracles and the 32-point kernel contracts."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adft1024.factors import all_factors
-from adft1024.transforms import (OUTPUT_SCALE, adft32_apply, adft32_matrix,
-                                 best_fit_scale, dft_direct, dft_matrix,
-                                 factor_product, fft_radix2, idft_direct)
+from adft1024.transforms import (_COLUMN_CHUNK, OUTPUT_SCALE, adft32_apply,
+                                 adft32_matrix, best_fit_scale, dft_direct,
+                                 dft_matrix, factor_product, fft_radix2,
+                                 idft_direct)
 
 from conftest import complex_vector
 
@@ -143,9 +145,32 @@ def test_kernel_is_symmetric():
     np.testing.assert_array_equal(m, m.T)
 
 
-def test_apply_matches_dense_kernel(rng):
-    x = complex_vector(rng, 32)
+@pytest.mark.parametrize("columns", [1, 5, 2 * _COLUMN_CHUNK + 7])
+def test_apply_matches_dense_kernel(rng, columns):
+    x = complex_vector(rng, 32 * columns).reshape(32, columns)
     np.testing.assert_allclose(adft32_apply(x), adft32_matrix() @ x, atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda b: st.lists(st.integers(-8, 8), min_size=64 * b, max_size=64 * b)))
+def test_apply_is_exact_on_gaussian_integers(entries):
+    parts = np.array(entries, dtype=float).reshape(2, 32, -1)
+    x = parts[0] + 1j * parts[1]
+    y = adft32_apply(x, scale=1.0)
+    np.testing.assert_array_equal(y, adft32_matrix(1.0) @ x)
+    assert np.all(y.real == np.rint(y.real)) and np.all(y.imag == np.rint(y.imag))
+
+
+def test_apply_peak_memory_stays_near_output_size():
+    x = np.ones((32, 32768), dtype=complex)
+    tracemalloc.start()
+    try:
+        y = adft32_apply(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * y.nbytes
 
 
 def test_apply_is_linear(rng):
