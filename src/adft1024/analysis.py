@@ -19,6 +19,7 @@ from .radix32 import SIZE, TransformSpec, Variant, transform_matrix
 DB_FLOOR = -60.0
 _ZERO_ENERGY = 1e-20
 _ROW_CHUNK = 128
+_ANGLE_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -100,14 +101,27 @@ class RowErrorStats:
     row_error_energy: np.ndarray
 
 
-def _floor_db(values: np.ndarray | float) -> np.ndarray | float:
-    return np.maximum(values, DB_FLOOR)
-
-
 def _energy_db(value: float) -> float:
     if value <= _ZERO_ENERGY:
         return DB_FLOOR
     return float(max(10 * np.log10(value), DB_FLOOR))
+
+
+def _error_db_rows(exact: np.ndarray, approx: np.ndarray, grid: FrequencyGrid,
+                   out: np.ndarray) -> None:
+    """Floored dB response error of approx rows against exact rows, into out."""
+    h_exact = _responses(exact, grid)
+    peak = np.abs(h_exact).max(axis=1, keepdims=True)
+    h_err = _responses(approx, grid)
+    np.subtract(h_err, h_exact, out=h_err)
+    del h_exact
+    err = np.abs(h_err)
+    del h_err
+    err /= peak
+    with np.errstate(divide="ignore"):
+        np.log10(err, out=err)
+    err *= 20
+    np.maximum(err, DB_FLOOR, out=out)
 
 
 def filterbank_error(spec: TransformSpec, grid: FrequencyGrid | None = None) -> RowErrorStats:
@@ -116,28 +130,27 @@ def filterbank_error(spec: TransformSpec, grid: FrequencyGrid | None = None) -> 
     exact = transform_matrix(TransformSpec(Variant.EXACT))
     approx = transform_matrix(spec)
 
-    h_exact = _responses(exact, grid)
-    peak = np.abs(h_exact).max(axis=1, keepdims=True)
-    h_err = _responses(approx, grid)
-    np.subtract(h_err, h_exact, out=h_err)
-    err = np.abs(h_err) / peak
-    del h_err, h_exact
-    with np.errstate(divide="ignore"):
-        err_db = _floor_db(20 * np.log10(err))
-    del err
+    # Only the rows x grid dB matrix is kept whole; responses are formed
+    # _ROW_CHUNK rows at a time.
+    err_db = np.empty((SIZE, grid.count))
+    energy = np.empty(SIZE)
+    for start in range(0, SIZE, _ROW_CHUNK):
+        chunk = slice(start, start + _ROW_CHUNK)
+        _error_db_rows(exact[chunk], approx[chunk], grid, out=err_db[chunk])
+        diff = approx[chunk] - exact[chunk]
+        energy[chunk] = np.real(np.einsum("ij,ij->i", diff, diff.conj()))
 
-    q1, q2, q3 = np.percentile(err_db, [25, 50, 75], axis=0)
-    stats_rows = approx - exact
-    energy = np.real(np.einsum("ij,ij->i", stats_rows, stats_rows.conj()))
+    lower, upper = err_db.min(axis=0), err_db.max(axis=0)
+    q1, q2, q3 = np.percentile(err_db, [25, 50, 75], axis=0, overwrite_input=True)
     nonzero = energy[energy > _ZERO_ENERGY]
     return RowErrorStats(
         variant=spec.variant,
         frequencies=grid.points,
-        lower_envelope=err_db.min(axis=0),
+        lower_envelope=lower,
         q1=q1,
         q2=q2,
         q3=q3,
-        upper_envelope=err_db.max(axis=0),
+        upper_envelope=upper,
         min_db=_energy_db(nonzero.min()) if nonzero.size else DB_FLOOR,
         mean_db=_energy_db(energy.mean()),
         max_db=_energy_db(energy.max()),
@@ -323,10 +336,17 @@ def beam_pattern(spec: TransformSpec, k: int, angles: np.ndarray | None = None) 
     angles = default_angles() if angles is None else np.asarray(angles, dtype=float)
     if angles.size == 0:
         raise ValueError("at least one steering angle is required")
-    steering = np.exp(1j * np.pi * np.outer(np.arange(SIZE), np.sin(angles)))
     row_var = transform_matrix(spec)[k]
     row_ex = transform_matrix(TransformSpec(Variant.EXACT))[k]
-    gain = row_var @ steering
-    norm = np.abs(row_ex @ steering).max()
+    # Steering _ANGLE_CHUNK angles at a time keeps memory flat in the angle
+    # count; each chunk's gemv returns the same values as the full one.
+    sines = np.sin(angles).ravel()
+    gain = np.empty(sines.size, dtype=complex)
+    norm = 0.0
+    for start in range(0, sines.size, _ANGLE_CHUNK):
+        chunk = slice(start, start + _ANGLE_CHUNK)
+        steering = np.exp(1j * np.pi * np.outer(np.arange(SIZE), sines[chunk]))
+        gain[chunk] = row_var @ steering
+        norm = max(norm, np.abs(row_ex @ steering).max())
     return BeamPattern(variant=spec.variant, bin_index=k, angles=angles,
                        gain=gain / norm)

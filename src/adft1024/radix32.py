@@ -16,7 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .transforms import _readonly, adft32_apply, dft_matrix
+from .transforms import (OUTPUT_SCALE, _readonly, adft32_apply, adft32_matrix,
+                         dft_matrix)
 
 N = 32
 SIZE = N * N
@@ -135,8 +136,26 @@ def transform_1024(x: np.ndarray, spec: TransformSpec) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _transform_matrix_cached(variant: Variant) -> np.ndarray:
-    cols = transform_1024(np.eye(SIZE, dtype=complex), TransformSpec(variant))
-    return _readonly(cols)
+    """Closed form of the pipeline: entry (d*N+k, c*N+i) = Kc[d,i] tw[k,i] Kr[k,c].
+
+    This is the Kronecker factorization (Kc x I) T (I x Kr) P of the
+    pipeline, one product per entry and no sums, evaluated in the pipeline's
+    order so each value is what transform_1024 returns for a unit impulse.
+    """
+    kr = dft_matrix(N) if variant.row_kernel_exact else adft32_matrix()
+    rows = twiddle_matrix().entries[:, None, :] * kr[:, :, None]   # [k, c, i]
+    if variant.col_kernel_exact:
+        # K=1 batched matmul over i, rounding each product as BLAS does in
+        # the pipeline's column matmul.
+        prod = np.matmul(dft_matrix(N).T[:, :, None],
+                         rows.transpose(2, 0, 1).reshape(N, 1, SIZE))  # [i, d, (k, c)]
+        out = prod.reshape(N, N, N, N).transpose(1, 2, 3, 0).reshape(SIZE, SIZE)
+    else:
+        # The adds-only chain is exact on a single nonzero input, so the raw
+        # kernel entry times the input, scaled afterwards, is its output.
+        out = (adft32_matrix(1.0)[:, None, None, :] * rows[None]).reshape(SIZE, SIZE)
+        out *= OUTPUT_SCALE
+    return _readonly(out)
 
 
 def transform_matrix(spec: TransformSpec) -> np.ndarray:

@@ -11,6 +11,7 @@ import csv
 import json
 import os
 import tempfile
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -21,13 +22,14 @@ FLOAT_FMT = "%.17g"
 MATRIX_HEADER = ("row", "col", "re", "im")
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
+def _atomic_write_text(path: Path, text: str | Iterable[str]) -> None:
+    """Write a string, or an iterable of string pieces, to path atomically."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -44,18 +46,22 @@ def write_sparse_factor_csv(path: Path, factor: SparseFactor) -> None:
 
 
 def write_dense_matrix_csv(path: Path, matrix: np.ndarray) -> None:
-    """One line per entry: row,col,re,im (row-major order)."""
+    """One line per entry: row,col,re,im (row-major order), streamed by row."""
     matrix = np.asarray(matrix, dtype=complex)
     nrows, ncols = matrix.shape
-    out = [",".join(MATRIX_HEADER)]
-    re = matrix.real
-    im = matrix.imag
-    for r in range(nrows):
-        re_row = re[r]
-        im_row = im[r]
-        out.extend(f"{r},{c},{FLOAT_FMT % re_row[c]},{FLOAT_FMT % im_row[c]}"
-                   for c in range(ncols))
-    _atomic_write_text(path, "\n".join(out) + "\n")
+    row_fmt = f"%d,%d,{FLOAT_FMT},{FLOAT_FMT}\n" * ncols
+
+    def lines():
+        yield ",".join(MATRIX_HEADER) + "\n"
+        fields = [0] * (4 * ncols)
+        fields[1::4] = range(ncols)
+        for r in range(nrows):
+            fields[0::4] = [r] * ncols
+            fields[2::4] = matrix[r].real.tolist()
+            fields[3::4] = matrix[r].imag.tolist()
+            yield row_fmt % tuple(fields)
+
+    _atomic_write_text(path, lines())
 
 
 def read_matrix_csv(path: Path, size: int | None = None) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Frequency responses, error statistics, side lobes, SNR and beams."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -240,3 +241,64 @@ def test_default_angles_cover_half_circle():
     angles = default_angles(101)
     assert angles[0] == pytest.approx(-np.pi / 2)
     assert angles[-1] == pytest.approx(np.pi / 2)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _unchunked_filterbank(spec, grid):
+    """The whole-matrix formula: every row's response held at once."""
+    m = grid.count
+    ramp = (-1.0) ** np.arange(SIZE)
+    exact, approx = transform_matrix(EXACT), transform_matrix(spec)
+    h_exact = np.fft.fft(exact * ramp, n=m, axis=1)
+    h_err = np.fft.fft(approx * ramp, n=m, axis=1) - h_exact
+    with np.errstate(divide="ignore"):
+        err_db = np.maximum(20 * np.log10(
+            np.abs(h_err) / np.abs(h_exact).max(axis=1, keepdims=True)), DB_FLOOR)
+    diff = approx - exact
+    energy = np.real(np.einsum("ij,ij->i", diff, diff.conj()))
+    return (err_db.min(axis=0), *np.percentile(err_db, [25, 50, 75], axis=0),
+            err_db.max(axis=0), energy)
+
+
+@pytest.mark.parametrize("variant", [Variant.ALG1, Variant.ALG2, Variant.ALG3])
+def test_filterbank_chunked_rows_equal_unchunked_formula(variant):
+    spec = TransformSpec(variant)
+    grid = FrequencyGrid.default(2048)
+    stats = filterbank_error(spec, grid)
+    got = (stats.lower_envelope, stats.q1, stats.q2, stats.q3,
+           stats.upper_envelope, stats.row_error_energy)
+    for g, r in zip(got, _unchunked_filterbank(spec, grid)):
+        assert np.array_equal(g, r)
+
+
+def test_filterbank_memory_is_bounded_by_its_db_matrix():
+    grid = FrequencyGrid.default(2048)
+    transform_matrix(EXACT), transform_matrix(ALG1)   # measure the analysis only
+    peak = _traced_peak(lambda: filterbank_error(ALG1, grid))
+    assert peak < 2.5 * SIZE * grid.count * 8
+
+
+@pytest.mark.parametrize("count", [1, 1000, 4096])
+@pytest.mark.parametrize("spec", [EXACT, ALG1, ALG3])
+def test_beam_chunked_angles_equal_full_steering(spec, count):
+    angles = default_angles(count)
+    steering = np.exp(1j * np.pi * np.outer(np.arange(SIZE), np.sin(angles)))
+    k = 100
+    norm = np.abs(transform_matrix(EXACT)[k] @ steering).max()
+    expected = (transform_matrix(spec)[k] @ steering) / norm
+    assert np.array_equal(beam_pattern(spec, k, angles).gain, expected)
+
+
+def test_beam_memory_is_bounded():
+    # The full 1024 x 4096 steering matrix alone is 64 MiB.
+    transform_matrix(EXACT), transform_matrix(ALG1)
+    peak = _traced_peak(lambda: beam_pattern(ALG1, 100, default_angles(4096)))
+    assert peak < 32 * 2 ** 20

@@ -1,13 +1,16 @@
 """Reshaping, twiddles, and the four 1024-point transform pipelines."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adft1024.radix32 import (APPROX_VARIANTS, SIZE, TransformSpec, Variant,
-                              VARIANTS, invvec, transform_1024, transform_matrix,
-                              twiddle_matrix, vec)
+                              VARIANTS, _transform_matrix_cached, invvec,
+                              transform_1024, transform_matrix, twiddle_matrix,
+                              vec)
 from adft1024.transforms import adft32_matrix, dft_direct
 
 from conftest import complex_vector
@@ -102,12 +105,37 @@ def test_alg1_impulse_extracts_matrix_column():
                                transform_matrix(spec)[:, 0], atol=1e-12)
 
 
-def test_alg1_pipeline_matches_dense_matrix(rng):
-    spec = TransformSpec(Variant.ALG1)
-    x = complex_vector(rng, SIZE)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_pipeline_matches_dense_matrix(variant, rng):
+    # The matrix is built in closed form, not through transform_1024, so
+    # this compares two independent computations of the same operator.
+    spec = TransformSpec(variant)
+    x = complex_vector(rng, SIZE * 7).reshape(SIZE, 7)
     got = transform_1024(x, spec)
     ref = transform_matrix(spec) @ x
-    assert np.linalg.norm(got - ref) / np.linalg.norm(ref) < 1e-10
+    rel = np.linalg.norm(got - ref, axis=0) / np.linalg.norm(ref, axis=0)
+    assert rel.max() <= 1e-13
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_matrix_equals_pipeline_on_identity(variant):
+    # The pipeline applied to every unit impulse is the matrix, value for
+    # value (array_equal treats +0 and -0 as equal).
+    spec = TransformSpec(variant)
+    assert np.array_equal(transform_matrix(spec),
+                          transform_1024(np.eye(SIZE), spec))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_cold_matrix_build_memory_is_bounded(variant):
+    # A cold build holds little beyond its 16 MiB output.
+    tracemalloc.start()
+    try:
+        _transform_matrix_cached.__wrapped__(variant)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * SIZE * SIZE * 16
 
 
 def test_exact_matrix_is_unitary():

@@ -1,5 +1,7 @@
 """Round-trips through the CSV/JSON writers and readers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -58,3 +60,29 @@ def test_no_temp_files_left_behind(tmp_path):
     write_json(tmp_path / "out.json", {"ok": True})
     leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
     assert leftovers == []
+
+
+def test_dense_matrix_stream_matches_joined_rendering(tmp_path):
+    m = np.array([[-0.0, 1e-300, -1.5e300, 1 / 3, 2.0],
+                  [1j / 3, -0.0j, 1e-300j, -1.5e300 + 0.5j, -1.0],
+                  [0.1 + 0.2j, -2.5, 7.0, -0.0 - 0.0j, 1e300]])
+    path = tmp_path / "dense.csv"
+    write_dense_matrix_csv(path, m)
+    joined = ["row,col,re,im"] + [
+        f"{r},{c},{'%.17g' % m[r, c].real},{'%.17g' % m[r, c].imag}"
+        for r in range(m.shape[0]) for c in range(m.shape[1])]
+    assert path.read_bytes() == ("\n".join(joined) + "\n").encode()
+    back = read_matrix_csv(path)[:3]   # the reader pads to a square matrix
+    assert np.array_equal(back, m)
+    assert np.array_equal(np.signbit(back.view(float)), np.signbit(m.view(float)))
+
+
+def test_dense_matrix_write_memory_is_bounded(tmp_path, rng):
+    m = rng.standard_normal((1024, 1024)) + 1j * rng.standard_normal((1024, 1024))
+    tracemalloc.start()
+    try:
+        write_dense_matrix_csv(tmp_path / "dense.csv", m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
