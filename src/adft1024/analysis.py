@@ -20,6 +20,7 @@ DB_FLOOR = -60.0
 _ZERO_ENERGY = 1e-20
 _ROW_CHUNK = 128
 _ANGLE_CHUNK = 512
+_REPLICATE_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -242,8 +243,7 @@ def _noise_stream(seed: int, replicate: int, n: int, sigma2: float) -> np.ndarra
 
 
 def snr_monte_carlo(spec: TransformSpec, bins, replicates: int = 10_000,
-                    noise_var: float = 1.0, seed: int = 0,
-                    chunk: int = 512) -> SnrReport:
+                    noise_var: float = 1.0, seed: int = 0) -> SnrReport:
     """Monte-Carlo per-bin SNR for a variant, paired with the exact path.
 
     For each requested bin k the probe is exp(j*2*pi*n*k/1024) plus i.i.d.
@@ -276,7 +276,7 @@ def snr_monte_carlo(spec: TransformSpec, bins, replicates: int = 10_000,
     sq = np.zeros(rows.shape[0])
     done = 0
     while done < replicates:
-        count = min(chunk, replicates - done)
+        count = min(_REPLICATE_CHUNK, replicates - done)
         noise = np.empty((count, SIZE), dtype=complex)
         for i in range(count):
             noise[i] = _noise_stream(seed, done + i, SIZE, noise_var)

@@ -35,7 +35,6 @@ _SCHEMES = {
 class RunConfig:
     """Defaults for every command; a config file may override any field."""
 
-    variant: str = "alg1"
     out_dir: str = ""
     grid_size: int = 8192
     replicates: int = 10_000
@@ -43,13 +42,9 @@ class RunConfig:
     cost_model: str = "paper"
 
     @classmethod
-    def field_names(cls):
-        return {f.name for f in fields(cls)}
-
-    @classmethod
     def from_file(cls, path: str) -> "RunConfig":
         cfg = cls()
-        known = cls.field_names()
+        known = {f.name for f in fields(cls)}
         for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -94,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="(testing aid) flip one coefficient before checking")
 
     p = sub.add_parser("complexity", help="emit sequential and circuit complexity reports")
-    p.add_argument("--model", choices=sorted(_SCHEMES), default=None)
+    p.add_argument("--model", dest="cost_model", choices=sorted(_SCHEMES), default=None)
     p.add_argument("--count-trivial", action="store_true",
                    help="cost all 1024 twiddles instead of the 961 nontrivial ones")
 
@@ -126,20 +121,18 @@ def _resolve_config(args) -> RunConfig:
         cfg.grid_size = 8192
         cfg.replicates = 100_000
         cfg.cost_model = "paper"
-    if getattr(args, "out_dir", None):
-        cfg.out_dir = args.out_dir
-    for name in ("variant", "grid_size", "replicates", "seed"):
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(cfg, name, value)
-    if getattr(args, "model", None):
-        cfg.cost_model = args.model
+    for f in fields(RunConfig):
+        value = getattr(args, f.name, None)
+        if value not in (None, ""):   # an empty --out-dir leaves out_dir as is
+            setattr(cfg, f.name, value)
+    if cfg.cost_model not in _SCHEMES:
+        raise ValueError(f"unknown cost model {cfg.cost_model!r}")
     return cfg
 
 
 def cmd_gen_matrix(args, cfg: RunConfig) -> int:
     out = Path(cfg.out_dir)
-    variant = Variant(cfg.variant)
+    variant = Variant(args.variant)
     if args.what == "factors":
         if variant is Variant.EXACT:
             print("error: the exact variant has no sparse factors", file=sys.stderr)
@@ -285,7 +278,7 @@ def cmd_complexity(args, cfg: RunConfig) -> int:
 
 def cmd_filterbank(args, cfg: RunConfig) -> int:
     out = Path(cfg.out_dir)
-    variant = Variant(cfg.variant)
+    variant = Variant(args.variant)
     grid = analysis.FrequencyGrid.default(cfg.grid_size)
     stats = analysis.filterbank_error(TransformSpec(variant), grid)
     reports.write_table_csv(
@@ -306,7 +299,7 @@ def cmd_filterbank(args, cfg: RunConfig) -> int:
 
 def cmd_snr(args, cfg: RunConfig) -> int:
     out = Path(cfg.out_dir)
-    variant = Variant(cfg.variant)
+    variant = Variant(args.variant)
     bins = args.bins if args.bins is not None else list(range(0, SIZE, SIZE // 64))
     report = analysis.snr_monte_carlo(
         TransformSpec(variant), bins, replicates=cfg.replicates,
@@ -323,7 +316,7 @@ def cmd_snr(args, cfg: RunConfig) -> int:
 
 def cmd_beams(args, cfg: RunConfig) -> int:
     out = Path(cfg.out_dir)
-    variant = Variant(cfg.variant)
+    variant = Variant(args.variant)
     if any(b < 0 or b >= SIZE for b in args.bins):
         print(f"error: bins must lie in 0..{SIZE - 1}", file=sys.stderr)
         return 2

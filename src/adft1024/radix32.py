@@ -49,11 +49,6 @@ class TransformSpec:
     """Selector consumed by every analysis: a variant at block length 1024."""
 
     variant: Variant
-    size: int = SIZE
-
-    def __post_init__(self):
-        if self.size != SIZE:
-            raise ValueError(f"only size {SIZE} is supported")
 
 
 @dataclass(frozen=True)
@@ -119,14 +114,15 @@ def transform_1024(x: np.ndarray, spec: TransformSpec) -> np.ndarray:
     xb = x if batched else x[:, None]
     nbatch = xb.shape[1]
 
-    a = invvec(xb)                                   # a[i, c, b] = x[c*N+i, b]
-    rows_in = a.transpose(1, 0, 2).reshape(N, N * nbatch)
+    rows_in = xb.reshape(N, N * nbatch)              # [c, (i, b)] = x[c*N+i, b]
     rows_out = _kernel(spec.variant.row_kernel_exact, rows_in)
     p = rows_out.reshape(N, N, nbatch)               # p[k, i, b]: row i transformed
 
-    q = twiddle_matrix().entries[:, :, None] * p
+    # Twiddle in place.  numpy's complex product is not symmetric in its
+    # operands, so keep tw * p: p * tw differs in the last bit.
+    np.multiply(twiddle_matrix().entries[:, :, None], p, out=p)
 
-    cols_in = q.transpose(1, 0, 2).reshape(N, N * nbatch)
+    cols_in = p.transpose(1, 0, 2).reshape(N, N * nbatch)
     cols_out = _kernel(spec.variant.col_kernel_exact, cols_in)
     r = cols_out.reshape(N, N, nbatch)               # r[d, k, b]
 
@@ -134,14 +130,17 @@ def transform_1024(x: np.ndarray, spec: TransformSpec) -> np.ndarray:
     return out if batched else out[:, 0]
 
 
-@lru_cache(maxsize=8)
-def _transform_matrix_cached(variant: Variant) -> np.ndarray:
-    """Closed form of the pipeline: entry (d*N+k, c*N+i) = Kc[d,i] tw[k,i] Kr[k,c].
+@lru_cache(maxsize=len(VARIANTS))
+def transform_matrix(spec: TransformSpec) -> np.ndarray:
+    """Dense 1024x1024 matrix of the selected transform (column c is the
+    transform of the c-th unit impulse).  Cached and read-only.
 
+    Closed form of the pipeline: entry (d*N+k, c*N+i) = Kc[d,i] tw[k,i] Kr[k,c].
     This is the Kronecker factorization (Kc x I) T (I x Kr) P of the
     pipeline, one product per entry and no sums, evaluated in the pipeline's
     order so each value is what transform_1024 returns for a unit impulse.
     """
+    variant = spec.variant
     kr = dft_matrix(N) if variant.row_kernel_exact else adft32_matrix()
     rows = twiddle_matrix().entries[:, None, :] * kr[:, :, None]   # [k, c, i]
     if variant.col_kernel_exact:
@@ -156,9 +155,3 @@ def _transform_matrix_cached(variant: Variant) -> np.ndarray:
         out = (adft32_matrix(1.0)[:, None, None, :] * rows[None]).reshape(SIZE, SIZE)
         out *= OUTPUT_SCALE
     return _readonly(out)
-
-
-def transform_matrix(spec: TransformSpec) -> np.ndarray:
-    """Dense 1024x1024 matrix of the selected transform (column c is the
-    transform of the c-th unit impulse).  Cached and read-only."""
-    return _transform_matrix_cached(spec.variant)

@@ -12,6 +12,7 @@ import json
 import os
 import tempfile
 from collections.abc import Iterable
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from .factors import SparseFactor
 
 FLOAT_FMT = "%.17g"
 MATRIX_HEADER = ("row", "col", "re", "im")
+_READ_LINES = 16_384
 
 
 def _atomic_write_text(path: Path, text: str | Iterable[str]) -> None:
@@ -68,20 +70,24 @@ def read_matrix_csv(path: Path, size: int | None = None) -> np.ndarray:
     """Rebuild a dense complex matrix from row,col,re,im lines.
 
     Works for both the sparse and the dense layout; unlisted cells are zero.
+    Lines are parsed by numpy, _READ_LINES at a time.
     """
-    rows, cols, values = [], [], []
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
+    with open(path, encoding="utf-8") as handle:
+        header = handle.readline().rstrip("\n").split(",")
         if tuple(header) != MATRIX_HEADER:
             raise ValueError(f"{path}: unexpected header {header!r}")
-        for rec in reader:
-            rows.append(int(rec[0]))
-            cols.append(int(rec[1]))
-            values.append(complex(float(rec[2]), float(rec[3])))
-    n = size if size is not None else max(max(rows), max(cols)) + 1
-    out = np.zeros((n, n), dtype=complex)
-    out[rows, cols] = values
+        chunks = []
+        while lines := list(islice(handle, _READ_LINES)):
+            chunks.append(np.loadtxt(lines, delimiter=",", ndmin=2))
+    if size is None:
+        size = int(max(rec[:, :2].max() for rec in chunks)) + 1
+    out = np.zeros((size, size), dtype=complex)
+    while chunks:
+        rec = chunks.pop(0)   # freed once placed, as the pages of out fill
+        rows, cols = rec[:, 0].astype(np.intp), rec[:, 1].astype(np.intp)
+        # Set the parts separately: re + 1j*im loses the sign of a -0.0.
+        out.real[rows, cols] = rec[:, 2]
+        out.imag[rows, cols] = rec[:, 3]
     return out
 
 

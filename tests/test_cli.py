@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from adft1024.cli import ENV_OUT_DIR, main
+from adft1024.factors import build_w
 from adft1024.radix32 import SIZE
-from adft1024.reports import read_json, read_matrix_csv, read_table_csv
+from adft1024.reports import (read_json, read_matrix_csv, read_table_csv,
+                              write_dense_matrix_csv, write_json, write_table_csv)
 
 
 def run(*argv):
@@ -91,21 +93,27 @@ def test_snr_rejects_out_of_range_bins(tmp_path):
                "--replicates", "100", "--bins", "0,5000") == 2
 
 
-@pytest.mark.parametrize("argv, expect", [
-    (("filterbank", "--variant", "alg1", "--grid-size", "1"), ""),
-    (("snr", "--variant", "alg1", "--replicates", "1"), ""),
-    (("snr", "--variant", "alg1", "--replicates", "100", "--seed", "-1"), ""),
-    (("snr", "--variant", "alg1", "--replicates", "100", "--noise-var", "0"), ""),
-    (("snr", "--variant", "alg1", "--replicates", "100", "--noise-var", "nan"), ""),
-    (("snr", "--variant", "alg1", "--replicates", "100", "--noise-var", "inf"), ""),
-    (("beams", "--variant", "alg1", "--bins", "3", "--angles", "0"), ""),
-    (("beams", "--variant", "alg1", "--bins", "3", "--angles", "-1"), "angle count"),
-    (("--config", "{config}", "snr", "--variant", "alg1", "--bins", "0"), ""),
+@pytest.mark.parametrize("argv, config_text, expect", [
+    (("filterbank", "--variant", "alg1", "--grid-size", "1"), "", ""),
+    (("snr", "--variant", "alg1", "--replicates", "1"), "", ""),
+    (("snr", "--variant", "alg1", "--replicates", "100", "--seed", "-1"), "", ""),
+    (("snr", "--variant", "alg1", "--replicates", "100", "--noise-var", "0"), "", ""),
+    (("snr", "--variant", "alg1", "--replicates", "100", "--noise-var", "nan"), "", ""),
+    (("snr", "--variant", "alg1", "--replicates", "100", "--noise-var", "inf"), "", ""),
+    (("beams", "--variant", "alg1", "--bins", "3", "--angles", "0"), "", ""),
+    (("beams", "--variant", "alg1", "--bins", "3", "--angles", "-1"), "", "angle count"),
+    (("--config", "{config}", "snr", "--variant", "alg1", "--bins", "0"),
+     "replicates = 1\n", ""),
+    (("--config", "{config}", "complexity"), "cost_model = bogus\n",
+     "unknown cost model 'bogus'"),
+    (("--config", "{config}", "verify", "--only", "counts"), "variant = alg1\n",
+     "unknown key 'variant'"),
 ], ids=["grid-size-1", "replicates-1", "seed-negative", "noise-var-0", "noise-var-nan",
-        "noise-var-inf", "angles-0", "angles-negative", "config-replicates-1"])
-def test_bad_values_exit_2_with_one_line(tmp_path, capsys, argv, expect):
+        "noise-var-inf", "angles-0", "angles-negative", "config-replicates-1",
+        "config-cost-model-bogus", "config-variant-key"])
+def test_bad_values_exit_2_with_one_line(tmp_path, capsys, argv, config_text, expect):
     config = tmp_path / "run.cfg"
-    config.write_text("replicates = 1\n")
+    config.write_text(config_text)
     argv = [a.format(config=config) for a in argv]
     assert run("--out-dir", str(tmp_path), *argv) == 2
     err = capsys.readouterr().err
@@ -141,7 +149,7 @@ def test_filterbank_csv_round_trip(tmp_path):
 
 def test_config_file_applies_and_flags_override(tmp_path):
     config = tmp_path / "run.cfg"
-    config.write_text("seed = 7\nreplicates = 400\nvariant = alg1\n")
+    config.write_text("seed = 7\nreplicates = 400\n")
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
     assert run("--out-dir", str(out_a), "--config", str(config), "snr",
@@ -170,3 +178,38 @@ def test_paper_mode_pins_reproduction_settings():
     assert cfg.grid_size == 8192
     assert cfg.replicates == 100_000
     assert cfg.cost_model == "paper"
+
+
+@pytest.mark.parametrize("argv, files", [
+    (("complexity",), ["complexity_circuit.json", "complexity_sequential.json"]),
+    (("gen-matrix", "--variant", "alg1", "--what", "factors"),
+     [f"W{k}.csv" for k in range(8)]),
+    (("gen-matrix", "--variant", "alg3", "--what", "dense"), ["dense_alg3.csv"]),
+    (("filterbank", "--variant", "alg2", "--grid-size", "2048"),
+     ["filterbank_alg2.csv", "filterbank_alg2_stats.json"]),
+    (("snr", "--variant", "alg1", "--replicates", "200", "--bins", "0,5,700"),
+     ["snr_alg1.csv"]),
+    (("beams", "--variant", "exact", "--bins", "3,700", "--angles", "256"),
+     ["beam_exact_3.csv", "beam_exact_700.csv"]),
+], ids=["complexity", "factors", "dense", "filterbank", "snr", "beams"])
+def test_every_artifact_reads_back(tmp_path, argv, files):
+    # Each file is read through adft1024.reports and, where a writer takes
+    # the read-back value, written again to the same bytes.
+    out = tmp_path / "out"
+    assert run("--out-dir", str(out), *argv) == 0
+    assert sorted(p.name for p in out.iterdir()) == files
+    again = tmp_path / "again"
+    for name in files:
+        path = out / name
+        if name.endswith(".json"):
+            write_json(again, read_json(path))
+        elif name.startswith("W"):
+            np.testing.assert_array_equal(read_matrix_csv(path, size=32),
+                                          build_w(int(name[1])).to_dense())
+            continue
+        elif name.startswith("dense_"):
+            write_dense_matrix_csv(again, read_matrix_csv(path))
+        else:
+            table = read_table_csv(path)
+            write_table_csv(again, tuple(table), tuple(table.values()))
+        assert again.read_bytes() == path.read_bytes()

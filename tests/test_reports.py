@@ -4,6 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from adft1024.factors import build_w
 from adft1024.reports import (read_json, read_matrix_csv, read_table_csv,
@@ -86,3 +89,46 @@ def test_dense_matrix_write_memory_is_bounded(tmp_path, rng):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2 ** 20
+
+
+def test_dense_matrix_read_memory_is_bounded(tmp_path, rng):
+    m = rng.standard_normal((1024, 1024)) + 1j * rng.standard_normal((1024, 1024))
+    path = tmp_path / "dense.csv"
+    write_dense_matrix_csv(path, m)
+    tracemalloc.start()
+    try:
+        back = read_matrix_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back, m)
+    assert peak < 4 * back.nbytes
+
+
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1.5e300, -1.5e300])
+PARTS = st.one_of(EDGE_FLOATS, st.floats(allow_nan=False))
+
+
+@settings(max_examples=50, deadline=None)
+@given(arrays(float, st.tuples(st.integers(1, 5), st.integers(1, 5), st.just(2)),
+              elements=PARTS))
+def test_dense_matrix_round_trip_keeps_every_bit(tmp_path_factory, parts):
+    m = parts.view(complex)[..., 0]   # a view keeps the sign of every -0.0
+    path = tmp_path_factory.mktemp("dense") / "m.csv"
+    write_dense_matrix_csv(path, m)
+    back = read_matrix_csv(path)[:m.shape[0], :m.shape[1]]
+    assert np.array_equal(back.view(np.uint64), m.view(np.uint64))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 20).flatmap(lambda n: st.tuples(
+    arrays(np.int64, n, elements=st.integers(-2 ** 62, 2 ** 62)),
+    arrays(float, n, elements=PARTS))))
+def test_table_round_trip_keeps_values_and_int_columns(tmp_path_factory, columns):
+    ints, floats = columns
+    path = tmp_path_factory.mktemp("table") / "t.csv"
+    write_table_csv(path, ("k", "x"), (ints, floats))
+    back = read_table_csv(path)
+    assert back["k"].dtype.kind == "i"
+    assert np.array_equal(back["k"], ints)
+    assert np.array_equal(back["x"], floats)
