@@ -15,10 +15,10 @@ from .complexity import (ADFT32_CIRCUIT, ADFT32_SEQUENTIAL, CircuitReport,
                          RADIX2_1024, TWIDDLE_CIRCUIT, adft32_addition_profile,
                          circuit_complexity, count_instrumented_adft32,
                          count_sequential, twiddle_cost)
-from .analysis import (BeamPattern, DB_FLOOR, FrequencyGrid, RowErrorStats,
+from .analysis import (BeamPattern, DB_FLOOR, GRID_SIZE, RowErrorStats,
                        SideLobeReport, SnrReport, beam_pattern, default_angles,
-                       filterbank_error, row_response, snr_monte_carlo,
-                       worst_side_lobe)
+                       filterbank_error, grid_points, row_response,
+                       snr_monte_carlo, worst_side_lobe)
 
 __version__ = "1.0.0"
 

@@ -1,11 +1,11 @@
 """Filter-bank error, side-lobe, SNR and beam-pattern analysis.
 
 Each row of a 1024-point transform matrix is treated as an FIR filter; its
-frequency response on a uniform grid drives the error envelopes and
-side-lobe extraction.  SNR degradation is estimated by Monte Carlo with a
-complex-exponential probe per bin in additive white Gaussian noise, and
-beam patterns come from steering a half-wavelength uniform linear array
-across the same rows.
+frequency response on a uniform grid over [-pi, pi) drives the error
+envelopes and side-lobe extraction.  SNR degradation is estimated by Monte
+Carlo with a complex-exponential probe per bin in additive white Gaussian
+noise, and beam patterns come from steering a half-wavelength uniform
+linear array across the same rows.
 """
 
 from __future__ import annotations
@@ -17,65 +17,42 @@ import numpy as np
 from .radix32 import SIZE, TransformSpec, Variant, transform_matrix
 
 DB_FLOOR = -60.0
+# Defaults of the analyses, shared with the CLI.
+GRID_SIZE = 8192
+REPLICATES = 10_000
+ANGLES = 4096
 _ZERO_ENERGY = 1e-20
 _ROW_CHUNK = 128
 _ANGLE_CHUNK = 512
 _REPLICATE_CHUNK = 512
 
 
-@dataclass(frozen=True)
-class FrequencyGrid:
-    """Uniformly spaced angular frequencies, strictly increasing."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 1 or pts.size < 2:
-            raise ValueError("a frequency grid needs at least two points")
-        steps = np.diff(pts)
-        if not np.all(steps > 0):
-            raise ValueError("grid points must be strictly increasing")
-        if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
-            raise ValueError("grid points must be uniformly spaced")
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-
-    @classmethod
-    def default(cls, count: int = 8192) -> "FrequencyGrid":
-        """count points covering [-pi, pi), endpoint excluded."""
-        return cls(-np.pi + 2 * np.pi * np.arange(count) / count)
-
-    @property
-    def count(self) -> int:
-        return int(self.points.size)
-
-    def is_full_circle(self) -> bool:
-        m = self.count
-        return np.allclose(self.points, -np.pi + 2 * np.pi * np.arange(m) / m,
-                           rtol=0, atol=1e-12)
+def grid_points(m: int) -> np.ndarray:
+    """m angular frequencies covering [-pi, pi), endpoint excluded."""
+    if m < 2:
+        raise ValueError("a frequency grid needs at least two points")
+    return -np.pi + 2 * np.pi * np.arange(m) / m
 
 
-def _responses(rows: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
-    """H(w) = sum_n c_n e^{-jwn} for each row, evaluated on the grid.
+def _responses(rows: np.ndarray, grid_size: int) -> np.ndarray:
+    """H(w) = sum_n c_n e^{-jwn} for each row, evaluated on grid_points(grid_size).
 
-    A full-circle grid is evaluated with a zero-padded FFT (the half-turn
-    phase ramp shifts the origin to -pi); other uniform grids fall back to
-    a direct inner product.
+    A grid at least as long as the rows is evaluated with a zero-padded FFT
+    (the half-turn phase ramp shifts the origin to -pi); a shorter one falls
+    back to a direct inner product.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=complex))
     n = rows.shape[1]
-    m = grid.count
-    if m >= n and grid.is_full_circle():
+    if grid_size >= n:
         shifted = rows * (-1.0) ** np.arange(n)
-        return np.fft.fft(shifted, n=m, axis=1)
-    kernel = np.exp(-1j * np.outer(np.arange(n), grid.points))
+        return np.fft.fft(shifted, n=grid_size, axis=1)
+    kernel = np.exp(-1j * np.outer(np.arange(n), grid_points(grid_size)))
     return rows @ kernel
 
 
-def row_response(row: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
-    """Frequency response of a single filter row on the grid."""
-    return _responses(row, grid)[0]
+def row_response(row: np.ndarray, grid_size: int) -> np.ndarray:
+    """Frequency response of a single filter row on grid_points(grid_size)."""
+    return _responses(row, grid_size)[0]
 
 
 @dataclass(frozen=True)
@@ -108,12 +85,12 @@ def _energy_db(value: float) -> float:
     return float(max(10 * np.log10(value), DB_FLOOR))
 
 
-def _error_db_rows(exact: np.ndarray, approx: np.ndarray, grid: FrequencyGrid,
+def _error_db_rows(exact: np.ndarray, approx: np.ndarray, grid_size: int,
                    out: np.ndarray) -> None:
     """Floored dB response error of approx rows against exact rows, into out."""
-    h_exact = _responses(exact, grid)
+    h_exact = _responses(exact, grid_size)
     peak = np.abs(h_exact).max(axis=1, keepdims=True)
-    h_err = _responses(approx, grid)
+    h_err = _responses(approx, grid_size)
     np.subtract(h_err, h_exact, out=h_err)
     del h_exact
     err = np.abs(h_err)
@@ -125,19 +102,19 @@ def _error_db_rows(exact: np.ndarray, approx: np.ndarray, grid: FrequencyGrid,
     np.maximum(err, DB_FLOOR, out=out)
 
 
-def filterbank_error(spec: TransformSpec, grid: FrequencyGrid | None = None) -> RowErrorStats:
+def filterbank_error(spec: TransformSpec, grid_size: int = GRID_SIZE) -> RowErrorStats:
     """Frequency-response error of every row of a variant against the exact DFT."""
-    grid = grid or FrequencyGrid.default()
+    frequencies = grid_points(grid_size)
     exact = transform_matrix(TransformSpec(Variant.EXACT))
     approx = transform_matrix(spec)
 
     # Only the rows x grid dB matrix is kept whole; responses are formed
     # _ROW_CHUNK rows at a time.
-    err_db = np.empty((SIZE, grid.count))
+    err_db = np.empty((SIZE, grid_size))
     energy = np.empty(SIZE)
     for start in range(0, SIZE, _ROW_CHUNK):
         chunk = slice(start, start + _ROW_CHUNK)
-        _error_db_rows(exact[chunk], approx[chunk], grid, out=err_db[chunk])
+        _error_db_rows(exact[chunk], approx[chunk], grid_size, out=err_db[chunk])
         diff = approx[chunk] - exact[chunk]
         energy[chunk] = np.real(np.einsum("ij,ij->i", diff, diff.conj()))
 
@@ -146,7 +123,7 @@ def filterbank_error(spec: TransformSpec, grid: FrequencyGrid | None = None) -> 
     nonzero = energy[energy > _ZERO_ENERGY]
     return RowErrorStats(
         variant=spec.variant,
-        frequencies=grid.points,
+        frequencies=frequencies,
         lower_envelope=lower,
         q1=q1,
         q2=q2,
@@ -201,15 +178,14 @@ def _side_lobe_rows(mag: np.ndarray) -> np.ndarray:
     return 20 * np.log10(side / peak)
 
 
-def worst_side_lobe(spec: TransformSpec, grid: FrequencyGrid | None = None) -> SideLobeReport:
+def worst_side_lobe(spec: TransformSpec, grid_size: int = GRID_SIZE) -> SideLobeReport:
     """Side-lobe levels of all rows of a variant; worst = largest (max dB)."""
-    grid = grid or FrequencyGrid.default()
     rows = transform_matrix(spec)
     per_row = np.empty(rows.shape[0])
     for start in range(0, rows.shape[0], _ROW_CHUNK):
         block = rows[start:start + _ROW_CHUNK]
         per_row[start:start + block.shape[0]] = _side_lobe_rows(
-            np.abs(_responses(block, grid)))
+            np.abs(_responses(block, grid_size)))
     worst = int(np.argmax(per_row))
     return SideLobeReport(
         variant=spec.variant,
@@ -242,7 +218,7 @@ def _noise_stream(seed: int, replicate: int, n: int, sigma2: float) -> np.ndarra
     return np.sqrt(sigma2 / 2.0) * raw.view(complex)
 
 
-def snr_monte_carlo(spec: TransformSpec, bins, replicates: int = 10_000,
+def snr_monte_carlo(spec: TransformSpec, bins, replicates: int = REPLICATES,
                     noise_var: float = 1.0, seed: int = 0) -> SnrReport:
     """Monte-Carlo per-bin SNR for a variant, paired with the exact path.
 
@@ -323,7 +299,7 @@ class BeamPattern:
         return np.abs(self.gain)
 
 
-def default_angles(count: int = 4096) -> np.ndarray:
+def default_angles(count: int = ANGLES) -> np.ndarray:
     if count < 1:
         raise ValueError(f"angle count must be >= 1, got {count}")
     return np.linspace(-np.pi / 2, np.pi / 2, count)

@@ -23,12 +23,7 @@ from .radix32 import (APPROX_VARIANTS, SIZE, TransformSpec, Variant, VARIANTS,
 from .transforms import OUTPUT_SCALE, dft_direct, dft_matrix, factor_product, fft_radix2
 
 ENV_OUT_DIR = "ADFT1024_OUT_DIR"
-
-_SCHEMES = {
-    "paper": complexity.ComplexMultScheme.PAPER_3M3A,
-    "gauss": complexity.ComplexMultScheme.GAUSS_3M5A,
-    "direct": complexity.ComplexMultScheme.DIRECT_4M2A,
-}
+_COST_MODELS = sorted(s.value for s in complexity.ComplexMultScheme)
 
 
 @dataclass
@@ -36,8 +31,8 @@ class RunConfig:
     """Defaults for every command; a config file may override any field."""
 
     out_dir: str = ""
-    grid_size: int = 8192
-    replicates: int = 10_000
+    grid_size: int = analysis.GRID_SIZE
+    replicates: int = analysis.REPLICATES
     seed: int = 0
     cost_model: str = "paper"
 
@@ -54,8 +49,13 @@ class RunConfig:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in known:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            current = getattr(cfg, key)
-            setattr(cfg, key, type(current)(value) if not isinstance(current, str) else value)
+            if isinstance(getattr(cfg, key), int):
+                try:
+                    value = int(value)
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: {key}: expected an integer, "
+                                     f"got {value!r}") from None
+            setattr(cfg, key, value)
         return cfg
 
 
@@ -76,7 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out-dir", help=f"output directory (default ${ENV_OUT_DIR} or .)")
     parser.add_argument("--config", help="key=value config file overriding defaults")
     parser.add_argument("--paper-mode", action="store_true",
-                        help="pin grid 8192, replicates 100000 and the 3M/3A cost model")
+                        help=f"pin grid {analysis.GRID_SIZE}, replicates 100000 and the"
+                             " 3M/3A cost model")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-matrix", help="emit kernel factors or a dense transform matrix")
@@ -89,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="(testing aid) flip one coefficient before checking")
 
     p = sub.add_parser("complexity", help="emit sequential and circuit complexity reports")
-    p.add_argument("--model", dest="cost_model", choices=sorted(_SCHEMES), default=None)
+    p.add_argument("--model", dest="cost_model", choices=_COST_MODELS, default=None)
     p.add_argument("--count-trivial", action="store_true",
                    help="cost all 1024 twiddles instead of the 961 nontrivial ones")
 
@@ -108,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("beams", help="emit beam-pattern CSVs for selected bins")
     p.add_argument("--variant", choices=[v.value for v in VARIANTS], required=True)
     p.add_argument("--bins", type=_parse_bins, required=True)
-    p.add_argument("--angles", type=int, default=4096)
+    p.add_argument("--angles", type=int, default=analysis.ANGLES)
 
     return parser
 
@@ -118,14 +119,14 @@ def _resolve_config(args) -> RunConfig:
     if not cfg.out_dir:
         cfg.out_dir = os.environ.get(ENV_OUT_DIR, ".")
     if args.paper_mode:
-        cfg.grid_size = 8192
+        cfg.grid_size = analysis.GRID_SIZE
         cfg.replicates = 100_000
         cfg.cost_model = "paper"
     for f in fields(RunConfig):
         value = getattr(args, f.name, None)
         if value not in (None, ""):   # an empty --out-dir leaves out_dir as is
             setattr(cfg, f.name, value)
-    if cfg.cost_model not in _SCHEMES:
+    if cfg.cost_model not in _COST_MODELS:
         raise ValueError(f"unknown cost model {cfg.cost_model!r}")
     return cfg
 
@@ -226,9 +227,8 @@ def _verify_error(results, factors, rng) -> None:
            "raw product == entrywise rounding of the unnormalized exact kernel")
     invertible = all(abs(np.linalg.det(f.to_dense())) > 1e-9 for f in factors)
     _check(results, "factor-invertibility", invertible, "all eight stages")
-    grid = analysis.FrequencyGrid.default(8192)
-    h_exact = analysis._responses(dft_matrix(32), grid)
-    h_hat = analysis._responses(OUTPUT_SCALE * product, grid)
+    h_exact = analysis._responses(dft_matrix(32), analysis.GRID_SIZE)
+    h_hat = analysis._responses(OUTPUT_SCALE * product, analysis.GRID_SIZE)
     peak = np.abs(h_exact).max(axis=1)
     worst = float((np.abs(h_hat - h_exact).max(axis=1) / peak).max())
     worst_db = 20 * np.log10(worst)
@@ -265,7 +265,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
 def cmd_complexity(args, cfg: RunConfig) -> int:
     out = Path(cfg.out_dir)
     model = complexity.CostModel(
-        complex_mult_scheme=_SCHEMES[cfg.cost_model],
+        complex_mult_scheme=complexity.ComplexMultScheme(cfg.cost_model),
         count_trivial_twiddles=args.count_trivial,
     )
     sequential = [complexity.count_sequential(v, model).to_json_dict() for v in VARIANTS]
@@ -279,8 +279,7 @@ def cmd_complexity(args, cfg: RunConfig) -> int:
 def cmd_filterbank(args, cfg: RunConfig) -> int:
     out = Path(cfg.out_dir)
     variant = Variant(args.variant)
-    grid = analysis.FrequencyGrid.default(cfg.grid_size)
-    stats = analysis.filterbank_error(TransformSpec(variant), grid)
+    stats = analysis.filterbank_error(TransformSpec(variant), cfg.grid_size)
     reports.write_table_csv(
         out / f"filterbank_{variant.value}.csv",
         ("frequency", "lower", "q1", "q2", "q3", "upper"),

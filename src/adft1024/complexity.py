@@ -135,6 +135,14 @@ def twiddle_cost(model: CostModel) -> tuple[int, int]:
     return products * m_per, products * a_per
 
 
+def _kernel_positions(variant: Variant, exact: tuple[int, int],
+                      approx: tuple[int, int]) -> tuple[int, int]:
+    """Summed (mults, adds) of one row-position and one column-position block."""
+    row = exact if variant.row_kernel_exact else approx
+    col = exact if variant.col_kernel_exact else approx
+    return row[0] + col[0], row[1] + col[1]
+
+
 def count_sequential(variant: Variant, model: CostModel = CostModel()) -> ComplexityReport:
     """Sequential operation count of one 1024-point evaluation."""
     ref_m, ref_a = REFERENCE_SEQUENTIAL[variant]
@@ -143,12 +151,9 @@ def count_sequential(variant: Variant, model: CostModel = CostModel()) -> Comple
         mults, adds = RADIX2_1024
     else:
         tw_m, tw_a = twiddle_cost(model)
-        if variant is Variant.ALG1:
-            blocks = 64 * ADFT32_SEQUENTIAL[0], 64 * ADFT32_SEQUENTIAL[1]
-        else:
-            blocks = (32 * DFT32_SEQUENTIAL[0] + 32 * ADFT32_SEQUENTIAL[0],
-                      32 * DFT32_SEQUENTIAL[1] + 32 * ADFT32_SEQUENTIAL[1])
-        mults, adds = tw_m + blocks[0], tw_a + blocks[1]
+        # Each kernel position runs 32 blocks.
+        block_m, block_a = _kernel_positions(variant, DFT32_SEQUENTIAL, ADFT32_SEQUENTIAL)
+        mults, adds = tw_m + 32 * block_m, tw_a + 32 * block_a
     return ComplexityReport(
         variant=variant,
         real_mults=mults,
@@ -161,14 +166,11 @@ def count_sequential(variant: Variant, model: CostModel = CostModel()) -> Comple
 
 def circuit_complexity(variant: Variant) -> CircuitReport:
     """Circuit counts: twiddle multiplier bank plus two kernel cores."""
-    row = ADFT32_CIRCUIT if not variant.row_kernel_exact else DFT32_CIRCUIT
-    col = ADFT32_CIRCUIT if not variant.col_kernel_exact else DFT32_CIRCUIT
-    mults = row[0] + col[0] + TWIDDLE_CIRCUIT[0]
-    adds = row[1] + col[1] + TWIDDLE_CIRCUIT[1]
+    core_m, core_a = _kernel_positions(variant, DFT32_CIRCUIT, ADFT32_CIRCUIT)
     return CircuitReport(
         variant=variant,
-        multiplier_circuits=mults,
-        adder_circuits=adds,
+        multiplier_circuits=core_m + TWIDDLE_CIRCUIT[0],
+        adder_circuits=core_a + TWIDDLE_CIRCUIT[1],
         paper_table_values=REFERENCE_CIRCUIT[variant],
     )
 

@@ -143,8 +143,6 @@ def build_b(t: int) -> SparseFactor:
     """
     if t < 1:
         raise ValueError("block order must be >= 1")
-    if t == 1:
-        return SparseFactor("B1", 1, ((0, 0, 1 + 0j),))
     entries = []
     if t % 2 == 0:
         h = t // 2

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import adft1024 as lib
-from adft1024.analysis import FrequencyGrid, filterbank_error, snr_monte_carlo, worst_side_lobe
+from adft1024.analysis import filterbank_error, snr_monte_carlo, worst_side_lobe
 from adft1024.complexity import (ComplexMultScheme, CostModel, circuit_complexity,
                                  count_instrumented_adft32, count_sequential,
                                  adft32_addition_profile)
@@ -123,14 +123,13 @@ def test_criterion_04_circuit_table():
 
 def test_criterion_05_error_statistics_table():
     start = time.perf_counter()
-    grid = FrequencyGrid.default(8192)
     table = {Variant.ALG1: (-10.7, -5.5, -4.4),
              Variant.ALG2: (-10.7, -9.9, -9.0),
              Variant.ALG3: (-10.7, -9.9, -9.0)}
     got = {}
     ok = True
     for variant, want in table.items():
-        stats = filterbank_error(TransformSpec(variant), grid)
+        stats = filterbank_error(TransformSpec(variant), 8192)
         got[variant] = (stats.min_db, stats.mean_db, stats.max_db)
         ok = ok and all(abs(g - w) <= 0.5 for g, w in zip(got[variant], want))
     elapsed = time.perf_counter() - start
@@ -142,7 +141,7 @@ def test_criterion_05_error_statistics_table():
 
 
 def test_criterion_06a_dirichlet_calibration():
-    rep = worst_side_lobe(TransformSpec(Variant.EXACT), FrequencyGrid.default(32768))
+    rep = worst_side_lobe(TransformSpec(Variant.EXACT), 32768)
     ok = abs(rep.worst_db - (-13.26)) <= 0.05
     assert report("6a", ok, f"exact-DFT side lobe {rep.worst_db:.3f} dB vs -13.26 +-0.05")
 
@@ -165,13 +164,12 @@ def test_criterion_06b_variant_side_lobe_targets():
     -11.16/-11.92/-11.16 dB, and no nearby convention (largest or mean
     nearest crest, per-row median) matches all three; see the README.
     """
-    grid = FrequencyGrid.default(8192)
-    m = grid.count
+    m = 8192
     published = {Variant.ALG1: -12.8, Variant.ALG2: -12.8, Variant.ALG3: -12.9}
     ok = True
     details = []
     for variant, quoted in published.items():
-        rep = worst_side_lobe(TransformSpec(variant), grid)
+        rep = worst_side_lobe(TransformSpec(variant), m)
         rows = _composed_matrix(variant)
         walks = [side_lobe_walk(mag)
                  for start in range(0, SIZE, 128)

@@ -6,8 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from adft1024.analysis import (DB_FLOOR, FrequencyGrid, beam_pattern,
-                               default_angles, filterbank_error, row_response,
+from adft1024.analysis import (DB_FLOOR, GRID_SIZE, beam_pattern, default_angles,
+                               filterbank_error, grid_points, row_response,
                                snr_monte_carlo, worst_side_lobe)
 from adft1024.radix32 import SIZE, TransformSpec, Variant, transform_matrix
 
@@ -20,54 +20,44 @@ ALG3 = TransformSpec(Variant.ALG3)
 
 
 def test_default_grid_shape():
-    grid = FrequencyGrid.default()
-    assert grid.count == 8192
-    assert grid.points[0] == pytest.approx(-np.pi)
-    assert grid.points[-1] < np.pi
-    assert grid.is_full_circle()
+    points = grid_points(GRID_SIZE)
+    assert points.shape == (8192,)
+    assert points[0] == pytest.approx(-np.pi)
+    assert points[-1] < np.pi
 
 
-def test_grid_rejects_non_monotone():
-    with pytest.raises(ValueError):
-        FrequencyGrid(np.array([0.0, -1.0, 1.0]))
-
-
-def test_grid_rejects_non_uniform():
-    with pytest.raises(ValueError):
-        FrequencyGrid(np.array([0.0, 0.1, 0.3]))
+def test_grid_needs_two_points():
+    with pytest.raises(ValueError, match="at least two points"):
+        grid_points(1)
 
 
 def test_impulse_row_has_flat_response():
     row = np.zeros(SIZE, dtype=complex)
     row[0] = 1.0
-    h = row_response(row, FrequencyGrid.default(1024))
+    h = row_response(row, 1024)
     np.testing.assert_allclose(h, np.ones(1024), atol=1e-12)
 
 
 def test_exact_row_peak_is_sqrt_block_length():
-    grid = FrequencyGrid.default()
     row = transform_matrix(EXACT)[37]
-    peak = np.abs(row_response(row, grid)).max()
+    peak = np.abs(row_response(row, GRID_SIZE)).max()
     assert peak == pytest.approx(math.sqrt(SIZE), rel=1e-9)
 
 
 def test_real_row_has_conjugate_symmetric_response(rng):
     row = rng.standard_normal(16)
-    grid = FrequencyGrid.default(256)
-    h = row_response(row, grid)
-    m = grid.count
+    m = 256
+    h = row_response(row, m)
     mirrored = h[(-np.arange(m)) % m]
     np.testing.assert_allclose(mirrored, np.conj(h), atol=1e-12)
 
 
 def test_fft_and_direct_response_paths_agree(rng):
     row = complex_vector(rng, 32)
-    full = FrequencyGrid.default(128)
-    direct = row @ np.exp(-1j * np.outer(np.arange(32), full.points))
-    np.testing.assert_allclose(row_response(row, full), direct, atol=1e-12)
-    window = FrequencyGrid(np.linspace(-np.pi / 4, np.pi / 4, 65))
-    windowed = row @ np.exp(-1j * np.outer(np.arange(32), window.points))
-    np.testing.assert_allclose(row_response(row, window), windowed, atol=1e-12)
+    # 128 points take the zero-padded FFT; 16 < 32 taps take the direct product.
+    for m in (128, 16):
+        direct = row @ np.exp(-1j * np.outer(np.arange(32), grid_points(m)))
+        np.testing.assert_allclose(row_response(row, m), direct, atol=1e-12)
 
 
 def test_filterbank_exact_sits_at_floor():
@@ -119,12 +109,12 @@ def test_sidelobe_vectorized_scan_matches_reference(rng):
 
 
 def test_sidelobe_dirichlet_calibration():
-    report = worst_side_lobe(EXACT, FrequencyGrid.default(32768))
+    report = worst_side_lobe(EXACT, 32768)
     assert report.worst_db == pytest.approx(-13.26, abs=0.05)
 
 
 def test_sidelobe_exact_rows_all_alike():
-    report = worst_side_lobe(EXACT, FrequencyGrid.default(8192))
+    report = worst_side_lobe(EXACT, 8192)
     assert report.per_row_db.max() - report.per_row_db.min() < 0.01
 
 
@@ -132,7 +122,7 @@ def test_sidelobe_variant_regression_values():
     # frozen outputs of the first-minima / own-peak-normalized definition
     expected = {Variant.ALG1: -11.158, Variant.ALG2: -11.919, Variant.ALG3: -11.158}
     for variant, value in expected.items():
-        report = worst_side_lobe(TransformSpec(variant), FrequencyGrid.default(8192))
+        report = worst_side_lobe(TransformSpec(variant), 8192)
         assert report.worst_db == pytest.approx(value, abs=0.05)
         assert report.worst_db == report.per_row_db.max()
         assert report.per_row_db[report.worst_row] == report.worst_db
@@ -252,9 +242,8 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
-def _unchunked_filterbank(spec, grid):
+def _unchunked_filterbank(spec, m):
     """The whole-matrix formula: every row's response held at once."""
-    m = grid.count
     ramp = (-1.0) ** np.arange(SIZE)
     exact, approx = transform_matrix(EXACT), transform_matrix(spec)
     h_exact = np.fft.fft(exact * ramp, n=m, axis=1)
@@ -271,19 +260,18 @@ def _unchunked_filterbank(spec, grid):
 @pytest.mark.parametrize("variant", [Variant.ALG1, Variant.ALG2, Variant.ALG3])
 def test_filterbank_chunked_rows_equal_unchunked_formula(variant):
     spec = TransformSpec(variant)
-    grid = FrequencyGrid.default(2048)
-    stats = filterbank_error(spec, grid)
+    stats = filterbank_error(spec, 2048)
     got = (stats.lower_envelope, stats.q1, stats.q2, stats.q3,
            stats.upper_envelope, stats.row_error_energy)
-    for g, r in zip(got, _unchunked_filterbank(spec, grid)):
+    for g, r in zip(got, _unchunked_filterbank(spec, 2048)):
         assert np.array_equal(g, r)
 
 
 def test_filterbank_memory_is_bounded_by_its_db_matrix():
-    grid = FrequencyGrid.default(2048)
+    m = 2048
     transform_matrix(EXACT), transform_matrix(ALG1)   # measure the analysis only
-    peak = _traced_peak(lambda: filterbank_error(ALG1, grid))
-    assert peak < 2.5 * SIZE * grid.count * 8
+    peak = _traced_peak(lambda: filterbank_error(ALG1, m))
+    assert peak < 2.5 * SIZE * m * 8
 
 
 @pytest.mark.parametrize("count", [1, 1000, 4096])

@@ -26,7 +26,7 @@ def test_b17_has_sixteen_paired_rows_and_one_passthrough():
     assert build_b(17).real_addition_count() == 32
 
 
-@pytest.mark.parametrize("t", [2, 3, 4, 5, 7, 8, 15, 16, 17])
+@pytest.mark.parametrize("t", [1, 2, 3, 4, 5, 7, 8, 15, 16, 17])
 def test_bt_squares_to_doubled_identity(t):
     b = build_b(t).to_dense()
     expected = 2 * np.eye(t)
