@@ -305,24 +305,36 @@ def default_angles(count: int = ANGLES) -> np.ndarray:
     return np.linspace(-np.pi / 2, np.pi / 2, count)
 
 
-def beam_pattern(spec: TransformSpec, k: int, angles: np.ndarray | None = None) -> BeamPattern:
-    """Beam pattern of bin k: row_k of the variant against e^{j*pi*n*sin(theta)}."""
-    if not 0 <= k < SIZE:
-        raise ValueError(f"bin index must lie in 0..{SIZE - 1}")
+def beam_pattern(spec: TransformSpec, bins,
+                 angles: np.ndarray | None = None) -> list[BeamPattern]:
+    """Beam patterns of the requested bins, one per bin in the order given.
+
+    Bin k's pattern is row_k of the variant against e^{j*pi*n*sin(theta)}.
+    """
+    bins = [int(k) for k in bins]
+    if not bins:
+        raise ValueError("at least one bin is required")
+    if any(not 0 <= k < SIZE for k in bins):
+        raise ValueError(f"bins must lie in 0..{SIZE - 1}")
     angles = default_angles() if angles is None else np.asarray(angles, dtype=float)
     if angles.size == 0:
         raise ValueError("at least one steering angle is required")
-    row_var = transform_matrix(spec)[k]
-    row_ex = transform_matrix(TransformSpec(Variant.EXACT))[k]
-    # Steering _ANGLE_CHUNK angles at a time keeps memory flat in the angle
-    # count; each chunk's gemv returns the same values as the full one.
+    mat_var = transform_matrix(spec)
+    mat_ex = transform_matrix(TransformSpec(Variant.EXACT))
+    # Steering _ANGLE_CHUNK angles at a time, with the exponential taken in
+    # place, keeps memory flat in the angle count; each chunk is built once
+    # for all bins.  One gemv per row returns the same bits as the full
+    # steering matrix; one gemm over the stacked rows does not.
     sines = np.sin(angles).ravel()
-    gain = np.empty(sines.size, dtype=complex)
-    norm = 0.0
+    gains = np.empty((len(bins), sines.size), dtype=complex)
+    norms = [0.0] * len(bins)
     for start in range(0, sines.size, _ANGLE_CHUNK):
         chunk = slice(start, start + _ANGLE_CHUNK)
-        steering = np.exp(1j * np.pi * np.outer(np.arange(SIZE), sines[chunk]))
-        gain[chunk] = row_var @ steering
-        norm = max(norm, np.abs(row_ex @ steering).max())
-    return BeamPattern(variant=spec.variant, bin_index=k, angles=angles,
-                       gain=gain / norm)
+        steering = 1j * np.pi * np.outer(np.arange(SIZE), sines[chunk])
+        np.exp(steering, out=steering)
+        for i, k in enumerate(bins):
+            gains[i, chunk] = mat_var[k] @ steering
+            norms[i] = max(norms[i], np.abs(mat_ex[k] @ steering).max())
+    return [BeamPattern(variant=spec.variant, bin_index=k, angles=angles,
+                        gain=gain / norm)
+            for k, gain, norm in zip(bins, gains, norms)]

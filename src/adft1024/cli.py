@@ -316,14 +316,11 @@ def cmd_snr(args, cfg: RunConfig) -> int:
 def cmd_beams(args, cfg: RunConfig) -> int:
     out = Path(cfg.out_dir)
     variant = Variant(args.variant)
-    if any(b < 0 or b >= SIZE for b in args.bins):
-        print(f"error: bins must lie in 0..{SIZE - 1}", file=sys.stderr)
-        return 2
-    angles = analysis.default_angles(args.angles)
-    for k in args.bins:
-        pattern = analysis.beam_pattern(TransformSpec(variant), k, angles)
+    patterns = analysis.beam_pattern(TransformSpec(variant), args.bins,
+                                     analysis.default_angles(args.angles))
+    for pattern in patterns:
         reports.write_table_csv(
-            out / f"beam_{variant.value}_{k}.csv",
+            out / f"beam_{variant.value}_{pattern.bin_index}.csv",
             ("angle_rad", "gain_re", "gain_im", "gain_abs"),
             (pattern.angles, pattern.gain.real, pattern.gain.imag,
              pattern.magnitude))

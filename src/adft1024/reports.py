@@ -49,19 +49,17 @@ def write_sparse_factor_csv(path: Path, factor: SparseFactor) -> None:
 
 def write_dense_matrix_csv(path: Path, matrix: np.ndarray) -> None:
     """One line per entry: row,col,re,im (row-major order), streamed by row."""
-    matrix = np.asarray(matrix, dtype=complex)
+    matrix = np.ascontiguousarray(matrix, dtype=complex)
     nrows, ncols = matrix.shape
-    row_fmt = f"%d,%d,{FLOAT_FMT},{FLOAT_FMT}\n" * ncols
+    # Joining with str(r) puts the row number before every cell, so the row
+    # and column numbers are literals of the format and only the floats, re
+    # and im interleaved as in the complex row, go through %.
+    cells = ["", *(f",{c},{FLOAT_FMT},{FLOAT_FMT}\n" for c in range(ncols))]
 
     def lines():
         yield ",".join(MATRIX_HEADER) + "\n"
-        fields = [0] * (4 * ncols)
-        fields[1::4] = range(ncols)
         for r in range(nrows):
-            fields[0::4] = [r] * ncols
-            fields[2::4] = matrix[r].real.tolist()
-            fields[3::4] = matrix[r].imag.tolist()
-            yield row_fmt % tuple(fields)
+            yield str(r).join(cells) % tuple(matrix[r].view(float).tolist())
 
     _atomic_write_text(path, lines())
 
@@ -114,6 +112,9 @@ def read_table_csv(path: Path) -> dict[str, np.ndarray]:
     for i, name in enumerate(header):
         col = [row[i] for row in rows]
         try:
+            # str() of an int never gives "-0"; FLOAT_FMT of -0.0 does.
+            if "-0" in col:
+                raise ValueError("negative zero")
             out[name] = np.array([int(v) for v in col])
         except ValueError:
             out[name] = np.array([float(v) for v in col])

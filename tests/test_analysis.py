@@ -186,7 +186,7 @@ def test_snr_input_validation():
 
 
 def test_beam_zero_points_broadside():
-    pattern = beam_pattern(EXACT, 0)
+    pattern = beam_pattern(EXACT, [0])[0]
     step = pattern.angles[1] - pattern.angles[0]
     assert abs(pattern.angles[np.argmax(pattern.magnitude)]) <= step
     assert pattern.magnitude.max() == pytest.approx(1.0, abs=1e-12)
@@ -194,7 +194,7 @@ def test_beam_zero_points_broadside():
 
 @pytest.mark.parametrize("k", [100, 300, 511, 700])
 def test_beam_peak_direction_matches_bin(k):
-    pattern = beam_pattern(EXACT, k)
+    pattern = beam_pattern(EXACT, [k])[0]
     sin_expected = 2 * k / SIZE
     if sin_expected >= 1.0:
         sin_expected -= 2.0
@@ -206,14 +206,15 @@ def test_beam_peak_direction_matches_bin(k):
 
 def test_beam_mirror_symmetry():
     k = 200
-    left = beam_pattern(EXACT, k)
-    right = beam_pattern(EXACT, SIZE - k)
+    left = beam_pattern(EXACT, [k])[0]
+    right = beam_pattern(EXACT, [SIZE - k])[0]
     np.testing.assert_allclose(left.magnitude, right.magnitude[::-1], atol=1e-9)
 
 
 def test_beam_rejects_bad_bin():
-    with pytest.raises(ValueError):
-        beam_pattern(EXACT, SIZE)
+    for bins in ([SIZE], [3, -1], []):
+        with pytest.raises(ValueError):
+            beam_pattern(EXACT, bins)
 
 
 def test_beam_variant_error_regression():
@@ -221,8 +222,8 @@ def test_beam_variant_error_regression():
     # implemented convention
     worst = 0.0
     for k in (200, 201, 202, 203):
-        exact = beam_pattern(EXACT, k)
-        approx = beam_pattern(ALG1, k)
+        exact = beam_pattern(EXACT, [k])[0]
+        approx = beam_pattern(ALG1, [k])[0]
         worst = max(worst, np.abs(approx.gain - exact.gain).max())
     assert 0.25 < worst < 0.40
 
@@ -279,14 +280,19 @@ def test_filterbank_memory_is_bounded_by_its_db_matrix():
 def test_beam_chunked_angles_equal_full_steering(spec, count):
     angles = default_angles(count)
     steering = np.exp(1j * np.pi * np.outer(np.arange(SIZE), np.sin(angles)))
-    k = 100
-    norm = np.abs(transform_matrix(EXACT)[k] @ steering).max()
-    expected = (transform_matrix(spec)[k] @ steering) / norm
-    assert np.array_equal(beam_pattern(spec, k, angles).gain, expected)
+    # One bin, then several: unsorted and with a repeat.
+    for bins in ((100,), (1023, 3, 100, 3)):
+        patterns = beam_pattern(spec, bins, angles)
+        assert [p.bin_index for p in patterns] == list(bins)
+        for k, pattern in zip(bins, patterns):
+            norm = np.abs(transform_matrix(EXACT)[k] @ steering).max()
+            expected = (transform_matrix(spec)[k] @ steering) / norm
+            assert np.array_equal(pattern.gain, expected)
 
 
 def test_beam_memory_is_bounded():
     # The full 1024 x 4096 steering matrix alone is 64 MiB.
     transform_matrix(EXACT), transform_matrix(ALG1)
-    peak = _traced_peak(lambda: beam_pattern(ALG1, 100, default_angles(4096)))
+    bins = range(100, 116)
+    peak = _traced_peak(lambda: beam_pattern(ALG1, bins, default_angles(4096)))
     assert peak < 32 * 2 ** 20

@@ -102,6 +102,7 @@ def test_snr_rejects_out_of_range_bins(tmp_path):
     (("snr", "--variant", "alg1", "--replicates", "100", "--noise-var", "inf"), "", ""),
     (("beams", "--variant", "alg1", "--bins", "3", "--angles", "0"), "", ""),
     (("beams", "--variant", "alg1", "--bins", "3", "--angles", "-1"), "", "angle count"),
+    (("beams", "--variant", "alg1", "--bins", "3,1024"), "", "bins must lie in 0..1023"),
     (("--config", "{config}", "snr", "--variant", "alg1", "--bins", "0"),
      "replicates = 1\n", ""),
     (("--config", "{config}", "complexity"), "cost_model = bogus\n",
@@ -111,7 +112,7 @@ def test_snr_rejects_out_of_range_bins(tmp_path):
     (("--config", "{config}", "snr", "--variant", "alg1", "--bins", "0"), "seed = 1.5\n",
      "run.cfg:1: seed: expected an integer, got '1.5'"),
 ], ids=["grid-size-1", "replicates-1", "seed-negative", "noise-var-0", "noise-var-nan",
-        "noise-var-inf", "angles-0", "angles-negative", "config-replicates-1",
+        "noise-var-inf", "angles-0", "angles-negative", "bin-1024", "config-replicates-1",
         "config-cost-model-bogus", "config-variant-key", "config-seed-float"])
 def test_bad_values_exit_2_with_one_line(tmp_path, capsys, argv, config_text, expect):
     config = tmp_path / "run.cfg"
@@ -122,6 +123,7 @@ def test_bad_values_exit_2_with_one_line(tmp_path, capsys, argv, config_text, ex
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert expect in err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_beams_emit_one_file_per_bin(tmp_path):

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -120,10 +120,14 @@ def test_dense_matrix_round_trip_keeps_every_bit(tmp_path_factory, parts):
     assert np.array_equal(back.view(np.uint64), m.view(np.uint64))
 
 
+INTEGRAL_FLOATS = st.integers(-1000, 1000).map(float)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(1, 20).flatmap(lambda n: st.tuples(
     arrays(np.int64, n, elements=st.integers(-2 ** 62, 2 ** 62)),
-    arrays(float, n, elements=PARTS))))
+    arrays(float, n, elements=st.one_of(PARTS, INTEGRAL_FLOATS)))))
+@example(columns=(np.array([1, 2]), np.array([-0.0, 2.0])))
 def test_table_round_trip_keeps_values_and_int_columns(tmp_path_factory, columns):
     ints, floats = columns
     path = tmp_path_factory.mktemp("table") / "t.csv"
@@ -132,3 +136,4 @@ def test_table_round_trip_keeps_values_and_int_columns(tmp_path_factory, columns
     assert back["k"].dtype.kind == "i"
     assert np.array_equal(back["k"], ints)
     assert np.array_equal(back["x"], floats)
+    assert np.array_equal(np.signbit(back["x"]), np.signbit(floats))
