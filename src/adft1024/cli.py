@@ -316,7 +316,8 @@ def cmd_snr(args, cfg: RunConfig) -> int:
 def cmd_beams(args, cfg: RunConfig) -> int:
     out = Path(cfg.out_dir)
     variant = Variant(args.variant)
-    patterns = analysis.beam_pattern(TransformSpec(variant), args.bins,
+    bins = list(dict.fromkeys(args.bins))  # one file per bin, first-seen order
+    patterns = analysis.beam_pattern(TransformSpec(variant), bins,
                                      analysis.default_angles(args.angles))
     for pattern in patterns:
         reports.write_table_csv(
@@ -324,7 +325,7 @@ def cmd_beams(args, cfg: RunConfig) -> int:
             ("angle_rad", "gain_re", "gain_im", "gain_abs"),
             (pattern.angles, pattern.gain.real, pattern.gain.imag,
              pattern.magnitude))
-    print(f"wrote {len(args.bins)} beam files to {out}")
+    print(f"wrote {len(patterns)} beam files to {out}")
     return 0
 
 

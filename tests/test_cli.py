@@ -138,6 +138,14 @@ def test_beams_emit_one_file_per_bin(tmp_path):
         np.hypot(table["gain_re"], table["gain_im"]), atol=1e-12)
 
 
+def test_beams_write_a_repeated_bin_once(tmp_path, capsys):
+    assert run("--out-dir", str(tmp_path), "beams", "--variant", "alg1",
+               "--bins", "0,3,3", "--angles", "64") == 0
+    files = sorted(p.name for p in tmp_path.glob("beam_alg1_*.csv"))
+    assert files == ["beam_alg1_0.csv", "beam_alg1_3.csv"]
+    assert capsys.readouterr().out == f"wrote 2 beam files to {tmp_path}\n"
+
+
 def test_filterbank_csv_round_trip(tmp_path):
     assert run("--out-dir", str(tmp_path), "filterbank", "--variant", "alg2",
                "--grid-size", "2048") == 0

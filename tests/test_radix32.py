@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from adft1024.radix32 import (APPROX_VARIANTS, SIZE, TransformSpec, Variant,
                               VARIANTS, invvec, transform_1024,
                               transform_matrix, twiddle_matrix, vec)
-from adft1024.transforms import adft32_matrix, dft_direct
+from adft1024.transforms import _COLUMN_CHUNK, adft32_matrix, dft_direct
 
 from conftest import complex_vector
 
@@ -118,6 +118,28 @@ def test_matrix_equals_pipeline_on_identity(variant):
     spec = TransformSpec(variant)
     assert np.array_equal(transform_matrix(spec),
                           transform_1024(np.eye(SIZE), spec))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_batch_columns_at_pass_boundaries_equal_single_calls(variant, rng):
+    # Each kernel sees 32*B lanes ordered (i, b); a pass boundary falls
+    # between batch columns b-1 and b.  alg1 has no BLAS step and must match
+    # bit for bit; a gemm and a gemv may sum the exact kernel in another order.
+    nbatch = 300
+    spec = TransformSpec(variant)
+    x = complex_vector(rng, SIZE * nbatch).reshape(SIZE, nbatch)
+    batch = transform_1024(x, spec)
+    edges = [e % nbatch for e in range(_COLUMN_CHUNK, 32 * nbatch, _COLUMN_CHUNK)]
+    assert edges
+    for b in sorted({c for e in edges for c in (e - 1, e)}):
+        single = transform_1024(x[:, b], spec)
+        if variant is Variant.ALG1:
+            np.testing.assert_array_equal(
+                np.ascontiguousarray(batch[:, b]).view(np.uint64),
+                single.view(np.uint64))
+        else:
+            np.testing.assert_allclose(batch[:, b], single, rtol=0,
+                                       atol=1e-12 * np.abs(single).max())
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adft1024.factors import all_factors
@@ -154,12 +154,37 @@ def test_apply_matches_dense_kernel(rng, columns):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 4).flatmap(
     lambda b: st.lists(st.integers(-8, 8), min_size=64 * b, max_size=64 * b)))
+@example([(7 * k) % 17 - 8 for k in range(64 * (_COLUMN_CHUNK + 5))])  # two passes
 def test_apply_is_exact_on_gaussian_integers(entries):
     parts = np.array(entries, dtype=float).reshape(2, 32, -1)
     x = parts[0] + 1j * parts[1]
     y = adft32_apply(x, scale=1.0)
     np.testing.assert_array_equal(y, adft32_matrix(1.0) @ x)
     assert np.all(y.real == np.rint(y.real)) and np.all(y.imag == np.rint(y.imag))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("a, b", [
+    (_COLUMN_CHUNK - 3, _COLUMN_CHUNK + 3),
+    (1, 2 * _COLUMN_CHUNK + 1),
+    (2 * _COLUMN_CHUNK - 1, 2 * _COLUMN_CHUNK + 7),
+    (2 * _COLUMN_CHUNK + 2, 2 * _COLUMN_CHUNK + 7),
+], ids=["first-boundary", "both-boundaries", "into-remainder", "remainder"])
+def test_apply_output_does_not_depend_on_pass_boundaries(rng, a, b):
+    columns = 2 * _COLUMN_CHUNK + 7
+    x = complex_vector(rng, 32 * columns).reshape(32, columns)
+    np.testing.assert_array_equal(_bits(adft32_apply(x)[:, a:b]),
+                                  _bits(adft32_apply(x[:, a:b])))
+
+
+def test_per_pass_scale_equals_whole_array_scale(rng):
+    columns = 2 * _COLUMN_CHUNK + 7
+    x = complex_vector(rng, 32 * columns).reshape(32, columns)
+    np.testing.assert_array_equal(_bits(adft32_apply(x)),
+                                  _bits(OUTPUT_SCALE * adft32_apply(x, scale=1.0)))
 
 
 def test_apply_peak_memory_stays_near_output_size():
