@@ -34,25 +34,28 @@ def grid_points(m: int) -> np.ndarray:
     return -np.pi + 2 * np.pi * np.arange(m) / m
 
 
-def _responses(rows: np.ndarray, grid_size: int) -> np.ndarray:
-    """H(w) = sum_n c_n e^{-jwn} for each row, evaluated on grid_points(grid_size).
+def row_response(rows: np.ndarray, grid_size: int) -> np.ndarray:
+    """H(w) = sum_n c_n e^{-jwn} on grid_points(grid_size) for a row (n,) or each of (r, n).
 
     A grid at least as long as the rows is evaluated with a zero-padded FFT
     (the half-turn phase ramp shifts the origin to -pi); a shorter one falls
     back to a direct inner product.
     """
-    rows = np.atleast_2d(np.asarray(rows, dtype=complex))
-    n = rows.shape[1]
+    rows = np.asarray(rows, dtype=complex)
+    n = rows.shape[-1]
     if grid_size >= n:
-        shifted = rows * (-1.0) ** np.arange(n)
-        return np.fft.fft(shifted, n=grid_size, axis=1)
-    kernel = np.exp(-1j * np.outer(np.arange(n), grid_points(grid_size)))
-    return rows @ kernel
+        return np.fft.fft(rows * (-1.0) ** np.arange(n), n=grid_size, axis=-1)
+    return rows @ np.exp(-1j * np.outer(np.arange(n), grid_points(grid_size)))
 
 
-def row_response(row: np.ndarray, grid_size: int) -> np.ndarray:
-    """Frequency response of a single filter row on grid_points(grid_size)."""
-    return _responses(row, grid_size)[0]
+def _checked_bins(bins) -> list[int]:
+    """The requested bins as ints, at least one, each in 0..SIZE-1."""
+    bins = [int(k) for k in np.atleast_1d(bins)]
+    if not bins:
+        raise ValueError("at least one bin is required")
+    if any(not 0 <= k < SIZE for k in bins):
+        raise ValueError(f"bins must lie in 0..{SIZE - 1}")
+    return bins
 
 
 @dataclass(frozen=True)
@@ -66,7 +69,6 @@ class RowErrorStats:
     min_db over rows with nonzero error, linear-mean and max over all rows.
     """
 
-    variant: Variant
     frequencies: np.ndarray
     lower_envelope: np.ndarray
     q1: np.ndarray
@@ -88,9 +90,9 @@ def _energy_db(value: float) -> float:
 def _error_db_rows(exact: np.ndarray, approx: np.ndarray, grid_size: int,
                    out: np.ndarray) -> None:
     """Floored dB response error of approx rows against exact rows, into out."""
-    h_exact = _responses(exact, grid_size)
+    h_exact = row_response(exact, grid_size)
     peak = np.abs(h_exact).max(axis=1, keepdims=True)
-    h_err = _responses(approx, grid_size)
+    h_err = row_response(approx, grid_size)
     np.subtract(h_err, h_exact, out=h_err)
     del h_exact
     err = np.abs(h_err)
@@ -122,7 +124,6 @@ def filterbank_error(spec: TransformSpec, grid_size: int = GRID_SIZE) -> RowErro
     q1, q2, q3 = np.percentile(err_db, [25, 50, 75], axis=0, overwrite_input=True)
     nonzero = energy[energy > _ZERO_ENERGY]
     return RowErrorStats(
-        variant=spec.variant,
         frequencies=frequencies,
         lower_envelope=lower,
         q1=q1,
@@ -140,7 +141,6 @@ def filterbank_error(spec: TransformSpec, grid_size: int = GRID_SIZE) -> RowErro
 class SideLobeReport:
     """Worst side lobe per row (dB below that row's main-lobe peak)."""
 
-    variant: Variant
     per_row_db: np.ndarray
     worst_db: float
     worst_row: int
@@ -185,10 +185,9 @@ def worst_side_lobe(spec: TransformSpec, grid_size: int = GRID_SIZE) -> SideLobe
     for start in range(0, rows.shape[0], _ROW_CHUNK):
         block = rows[start:start + _ROW_CHUNK]
         per_row[start:start + block.shape[0]] = _side_lobe_rows(
-            np.abs(_responses(block, grid_size)))
+            np.abs(row_response(block, grid_size)))
     worst = int(np.argmax(per_row))
     return SideLobeReport(
-        variant=spec.variant,
         per_row_db=per_row,
         worst_db=float(per_row[worst]),
         worst_row=worst,
@@ -199,7 +198,6 @@ def worst_side_lobe(spec: TransformSpec, grid_size: int = GRID_SIZE) -> SideLobe
 class SnrReport:
     """Per-bin SNR of the exact and approximate paths plus the degradation."""
 
-    variant: Variant
     bins: np.ndarray
     snr_exact_db: np.ndarray
     snr_variant_db: np.ndarray
@@ -229,11 +227,7 @@ def snr_monte_carlo(spec: TransformSpec, bins, replicates: int = REPLICATES,
     and approximate paths, so degradations are paired; results are
     bit-for-bit reproducible for a fixed seed and replicate count.
     """
-    bins = np.array(sorted(set(int(b) for b in np.atleast_1d(bins))), dtype=int)
-    if bins.size == 0:
-        raise ValueError("at least one bin is required")
-    if np.any(bins < 0) or np.any(bins >= SIZE):
-        raise ValueError(f"bins must lie in 0..{SIZE - 1}")
+    bins = np.array(sorted(set(_checked_bins(bins))), dtype=int)
     if replicates < 2:
         raise ValueError("variance estimation needs at least two replicates")
     if not (np.isfinite(noise_var) and noise_var > 0):
@@ -267,7 +261,6 @@ def snr_monte_carlo(spec: TransformSpec, bins, replicates: int = REPLICATES,
     snr_var, snr_ex = snr[:bins.size], snr[bins.size:]
     deg = snr_ex - snr_var
     return SnrReport(
-        variant=spec.variant,
         bins=bins,
         snr_exact_db=snr_ex,
         snr_variant_db=snr_var,
@@ -289,7 +282,6 @@ class BeamPattern:
     [-1, 1).
     """
 
-    variant: Variant
     bin_index: int
     angles: np.ndarray
     gain: np.ndarray
@@ -311,11 +303,7 @@ def beam_pattern(spec: TransformSpec, bins,
 
     Bin k's pattern is row_k of the variant against e^{j*pi*n*sin(theta)}.
     """
-    bins = [int(k) for k in bins]
-    if not bins:
-        raise ValueError("at least one bin is required")
-    if any(not 0 <= k < SIZE for k in bins):
-        raise ValueError(f"bins must lie in 0..{SIZE - 1}")
+    bins = _checked_bins(bins)
     angles = default_angles() if angles is None else np.asarray(angles, dtype=float)
     if angles.size == 0:
         raise ValueError("at least one steering angle is required")
@@ -335,6 +323,6 @@ def beam_pattern(spec: TransformSpec, bins,
         for i, k in enumerate(bins):
             gains[i, chunk] = mat_var[k] @ steering
             norms[i] = max(norms[i], np.abs(mat_ex[k] @ steering).max())
-    return [BeamPattern(variant=spec.variant, bin_index=k, angles=angles,
+    return [BeamPattern(bin_index=k, angles=angles,
                         gain=gain / norm)
             for k, gain, norm in zip(bins, gains, norms)]

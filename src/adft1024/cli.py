@@ -83,20 +83,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-matrix", help="emit kernel factors or a dense transform matrix")
     p.add_argument("--variant", choices=[v.value for v in VARIANTS], required=True)
     p.add_argument("--what", choices=["factors", "dense"], default="factors")
+    p.set_defaults(run=cmd_gen_matrix)
 
     p = sub.add_parser("verify", help="run the invariant suite; exit 1 on any failure")
     p.add_argument("--only", choices=["all", "oracle", "counts", "error"], default="all")
     p.add_argument("--corrupt-factor", choices=list(FACTOR_LABELS),
                    help="(testing aid) flip one coefficient before checking")
+    p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser("complexity", help="emit sequential and circuit complexity reports")
     p.add_argument("--model", dest="cost_model", choices=_COST_MODELS, default=None)
     p.add_argument("--count-trivial", action="store_true",
                    help="cost all 1024 twiddles instead of the 961 nontrivial ones")
+    p.set_defaults(run=cmd_complexity)
 
     p = sub.add_parser("filterbank", help="emit frequency-response error curves and stats")
     p.add_argument("--variant", choices=[v.value for v in VARIANTS], required=True)
     p.add_argument("--grid-size", type=int, default=None)
+    p.set_defaults(run=cmd_filterbank)
 
     p = sub.add_parser("snr", help="emit Monte-Carlo per-bin SNR estimates")
     p.add_argument("--variant", choices=[v.value for v in APPROX_VARIANTS], required=True)
@@ -105,11 +109,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=_parse_bins, default=None,
                    help="comma-separated bin list (default: 64 evenly spaced)")
     p.add_argument("--noise-var", type=float, default=1.0)
+    p.set_defaults(run=cmd_snr)
 
     p = sub.add_parser("beams", help="emit beam-pattern CSVs for selected bins")
     p.add_argument("--variant", choices=[v.value for v in VARIANTS], required=True)
     p.add_argument("--bins", type=_parse_bins, required=True)
     p.add_argument("--angles", type=int, default=analysis.ANGLES)
+    p.set_defaults(run=cmd_beams)
 
     return parser
 
@@ -150,46 +156,42 @@ def cmd_gen_matrix(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _check(results: list, name: str, ok: bool, detail: str) -> None:
-    results.append((name, bool(ok), detail))
-
-
-def _verify_oracle(results, rng) -> None:
+def _verify_oracle(rng):
     worst = 0.0
     for _ in range(200):
         x = rng.standard_normal(32) + 1j * rng.standard_normal(32)
         ref = dft_direct(x)
         worst = max(worst, np.linalg.norm(fft_radix2(x) - ref) / np.linalg.norm(ref))
-    _check(results, "fft32-vs-direct", worst < 1e-10, f"worst rel err {worst:.2e}")
+    yield ("fft32-vs-direct", worst < 1e-10, f"worst rel err {worst:.2e}")
     x = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
     ref = dft_direct(x)
     rel = np.linalg.norm(fft_radix2(x) - ref) / np.linalg.norm(ref)
-    _check(results, "fft1024-vs-direct", rel < 1e-9, f"rel err {rel:.2e}")
+    yield ("fft1024-vs-direct", rel < 1e-9, f"rel err {rel:.2e}")
     worst = 0.0
     batch = rng.standard_normal((SIZE, 5)) + 1j * rng.standard_normal((SIZE, 5))
     got = transform_1024(batch, TransformSpec(Variant.EXACT))
     ref = dft_direct(batch)
     worst = (np.linalg.norm(got - ref, axis=0) / np.linalg.norm(ref, axis=0)).max()
-    _check(results, "exact-pipeline-vs-direct", worst < 1e-9, f"worst rel err {worst:.2e}")
+    yield ("exact-pipeline-vs-direct", worst < 1e-9, f"worst rel err {worst:.2e}")
     bad = 0.0
     for n in (2, 4, 8, 16, 32):
         f = dft_matrix(n)
         bad = max(bad, np.abs(f @ f.conj().T - np.eye(n)).max())
-    _check(results, "unitarity", bad < 1e-10, f"max deviation {bad:.2e}")
+    yield ("unitarity", bad < 1e-10, f"max deviation {bad:.2e}")
 
 
-def _verify_counts(results, factors) -> None:
+def _verify_counts(factors):
     profile = complexity.adft32_addition_profile()
-    _check(results, "kernel-additions",
+    yield ("kernel-additions",
            profile == list(STAGE_ADDITIONS) and sum(profile) == 348,
            f"profile {profile}")
     mults, adds = complexity.count_instrumented_adft32()
-    _check(results, "kernel-mult-free", (mults, adds) == (0, 348), f"({mults}, {adds})")
+    yield ("kernel-mult-free", (mults, adds) == (0, 348), f"({mults}, {adds})")
     sizes_ok = all(f.size == 32 for f in factors)
     nnz_ok = all(f.nonzeros_per_row().max() <= 3 for f in factors)
-    _check(results, "factor-shapes", sizes_ok and nnz_ok, "32x32, rows <= 3 nonzeros")
+    yield ("factor-shapes", sizes_ok and nnz_ok, "32x32, rows <= 3 nonzeros")
     tw = twiddle_matrix()
-    _check(results, "twiddle-counts",
+    yield ("twiddle-counts",
            int(tw.trivial_mask.sum()) == 63 and tw.nontrivial_count == 961,
            f"trivial {int(tw.trivial_mask.sum())}, nontrivial {tw.nontrivial_count}")
     seq_ok, all_msgs = True, []
@@ -198,7 +200,7 @@ def _verify_counts(results, factors) -> None:
         if not rep.matches_reference:
             seq_ok = False
         all_msgs.append(f"{variant.value}=({rep.real_mults},{rep.real_adds})")
-    _check(results, "sequential-table", seq_ok, " ".join(all_msgs))
+    yield ("sequential-table", seq_ok, " ".join(all_msgs))
     circ_msgs = []
     circ_ok = True
     for variant in VARIANTS:
@@ -212,30 +214,30 @@ def _verify_counts(results, factors) -> None:
             ok = rep.matches_paper_table
             circ_msgs.append(f"{variant.value}=({rep.multiplier_circuits},{rep.adder_circuits})")
         circ_ok = circ_ok and ok
-    _check(results, "circuit-table", circ_ok, " ".join(circ_msgs))
+    yield ("circuit-table", circ_ok, " ".join(circ_msgs))
 
 
-def _verify_error(results, factors, rng) -> None:
+def _verify_error(factors, rng):
     product = factor_product(factors)
     integer = (np.all(product.real == np.rint(product.real))
                and np.all(product.imag == np.rint(product.imag)))
-    _check(results, "gaussian-integer-closure", integer, "raw product entries")
+    yield ("gaussian-integer-closure", integer, "raw product entries")
     k, m = np.meshgrid(np.arange(32), np.arange(32), indexing="ij")
     unnormalized = np.exp(-2j * np.pi * k * m / 32)
     rounded = np.round(unnormalized.real) + 1j * np.round(unnormalized.imag)
-    _check(results, "kernel-rounding", np.array_equal(product, rounded),
+    yield ("kernel-rounding", np.array_equal(product, rounded),
            "raw product == entrywise rounding of the unnormalized exact kernel")
     invertible = all(abs(np.linalg.det(f.to_dense())) > 1e-9 for f in factors)
-    _check(results, "factor-invertibility", invertible, "all eight stages")
-    h_exact = analysis._responses(dft_matrix(32), analysis.GRID_SIZE)
-    h_hat = analysis._responses(OUTPUT_SCALE * product, analysis.GRID_SIZE)
+    yield ("factor-invertibility", invertible, "all eight stages")
+    h_exact = analysis.row_response(dft_matrix(32), analysis.GRID_SIZE)
+    h_hat = analysis.row_response(OUTPUT_SCALE * product, analysis.GRID_SIZE)
     peak = np.abs(h_exact).max(axis=1)
     worst = float((np.abs(h_hat - h_exact).max(axis=1) / peak).max())
     worst_db = 20 * np.log10(worst)
-    _check(results, "kernel-response-band", -11.5 <= worst_db <= -9.5,
+    yield ("kernel-response-band", -11.5 <= worst_db <= -9.5,
            f"worst row error {worst_db:.2f} dB")
     x = rng.standard_normal(SIZE) + 1j * rng.standard_normal(SIZE)
-    _check(results, "vec-invvec-roundtrip", np.array_equal(vec(invvec(x)), x), "exact")
+    yield ("vec-invvec-roundtrip", np.array_equal(vec(invvec(x)), x), "exact")
 
 
 def cmd_verify(args, cfg: RunConfig) -> int:
@@ -247,13 +249,11 @@ def cmd_verify(args, cfg: RunConfig) -> int:
         r, c, v = dirty.entries[-1]
         entries = dirty.entries[:-1] + ((r, c, -v),)
         factors[idx] = SparseFactor(dirty.label, dirty.size, entries)
-    results: list = []
-    if args.only in ("all", "oracle"):
-        _verify_oracle(results, rng)
-    if args.only in ("all", "counts"):
-        _verify_counts(results, factors)
-    if args.only in ("all", "error"):
-        _verify_error(results, factors, rng)
+    # Each section yields (name, ok, detail) and runs only when asked for.
+    sections = {"oracle": _verify_oracle(rng), "counts": _verify_counts(factors),
+                "error": _verify_error(factors, rng)}
+    results = [check for name, checks in sections.items() if args.only in ("all", name)
+               for check in checks]
     failed = 0
     for name, ok, detail in results:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
@@ -329,16 +329,6 @@ def cmd_beams(args, cfg: RunConfig) -> int:
     return 0
 
 
-_COMMANDS = {
-    "gen-matrix": cmd_gen_matrix,
-    "verify": cmd_verify,
-    "complexity": cmd_complexity,
-    "filterbank": cmd_filterbank,
-    "snr": cmd_snr,
-    "beams": cmd_beams,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -348,7 +338,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        return _COMMANDS[args.command](args, cfg)
+        return args.run(args, cfg)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

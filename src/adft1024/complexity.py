@@ -12,7 +12,7 @@ core per kernel position.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .factors import MultiplicationError, TOTAL_ADDITIONS, all_factors
 from .radix32 import Variant
@@ -74,6 +74,19 @@ class CostModel:
     count_trivial_twiddles: bool = False
 
 
+def _json_fields(items) -> dict:
+    return {k: v.value if isinstance(v, enum.Enum) else list(v) if isinstance(v, tuple) else v
+            for k, v in items}
+
+
+def _json_record(report, **derived) -> dict:
+    """A report dataclass's fields, then the derived values, as one JSON object.
+
+    Enums become their values, tuples lists and nested dataclasses objects.
+    """
+    return asdict(report, dict_factory=_json_fields) | derived
+
+
 @dataclass(frozen=True)
 class ComplexityReport:
     """Sequential real multiplication/addition counts under one convention."""
@@ -91,18 +104,7 @@ class ComplexityReport:
             self.paper_reference_mults, self.paper_reference_adds)
 
     def to_json_dict(self) -> dict:
-        return {
-            "variant": self.variant.value,
-            "real_mults": self.real_mults,
-            "real_adds": self.real_adds,
-            "paper_reference_mults": self.paper_reference_mults,
-            "paper_reference_adds": self.paper_reference_adds,
-            "convention": {
-                "complex_mult_scheme": self.convention.complex_mult_scheme.value,
-                "count_trivial_twiddles": self.convention.count_trivial_twiddles,
-            },
-            "matches_reference": self.matches_reference,
-        }
+        return _json_record(self, matches_reference=self.matches_reference)
 
 
 @dataclass(frozen=True)
@@ -119,13 +121,7 @@ class CircuitReport:
         return (self.multiplier_circuits, self.adder_circuits) == self.paper_table_values
 
     def to_json_dict(self) -> dict:
-        return {
-            "variant": self.variant.value,
-            "multiplier_circuits": self.multiplier_circuits,
-            "adder_circuits": self.adder_circuits,
-            "paper_table_values": list(self.paper_table_values),
-            "matches_paper_table": self.matches_paper_table,
-        }
+        return _json_record(self, matches_paper_table=self.matches_paper_table)
 
 
 def twiddle_cost(model: CostModel) -> tuple[int, int]:

@@ -144,21 +144,11 @@ def build_b(t: int) -> SparseFactor:
     if t < 1:
         raise ValueError("block order must be >= 1")
     entries = []
-    if t % 2 == 0:
-        h = t // 2
-        for i in range(h):
-            entries.append((i, i, 1 + 0j))
-            entries.append((i, t - 1 - i, 1 + 0j))
-            entries.append((h + i, h - 1 - i, 1 + 0j))
-            entries.append((h + i, h + i, -1 + 0j))
-    else:
-        h = (t - 1) // 2
-        for i in range(h):
-            entries.append((i, i, 1 + 0j))
-            entries.append((i, t - 1 - i, 1 + 0j))
-            entries.append((h + 1 + i, h - 1 - i, 1 + 0j))
-            entries.append((h + 1 + i, h + 1 + i, -1 + 0j))
-        entries.append((h, h, 1 + 0j))
+    for i in range(t // 2):
+        m = t - 1 - i
+        entries += [(i, i, 1 + 0j), (i, m, 1 + 0j), (m, i, 1 + 0j), (m, m, -1 + 0j)]
+    if t % 2:
+        entries.append((t // 2, t // 2, 1 + 0j))
     return SparseFactor(f"B{t}", t, tuple(entries))
 
 

@@ -1,8 +1,9 @@
 """CSV/JSON emission and re-reading for every artifact the CLI produces.
 
 All writers go through an atomic write-temp-then-rename so partially
-written files never appear under the final name.  Numbers are printed with
-17 significant digits, enough to round-trip float64 exactly.
+written files never appear under the final name; the file mode follows the
+umask.  Numbers are printed with 17 significant digits, enough to
+round-trip float64 exactly.
 """
 
 from __future__ import annotations
@@ -31,6 +32,9 @@ def _atomic_write_text(path: Path, text: str | Iterable[str]) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)   # the mode open() gives, not mkstemp's 0600
             handle.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
@@ -39,12 +43,20 @@ def _atomic_write_text(path: Path, text: str | Iterable[str]) -> None:
         raise
 
 
+def _table_text(header: tuple[str, ...], rows) -> str:
+    """A header line, then one line per row: ints by str, floats by FLOAT_FMT."""
+    lines = [",".join(header)]
+    for values in rows:
+        lines.append(",".join(
+            str(v) if isinstance(v, (int, np.integer)) else FLOAT_FMT % v
+            for v in values))
+    return "\n".join(lines) + "\n"
+
+
 def write_sparse_factor_csv(path: Path, factor: SparseFactor) -> None:
     """One line per nonzero: row,col,re,im."""
-    lines = [",".join(MATRIX_HEADER)]
-    for r, c, v in factor.entries:
-        lines.append(f"{r},{c},{FLOAT_FMT % v.real},{FLOAT_FMT % v.imag}")
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    _atomic_write_text(path, _table_text(
+        MATRIX_HEADER, ((r, c, v.real, v.imag) for r, c, v in factor.entries)))
 
 
 def write_dense_matrix_csv(path: Path, matrix: np.ndarray) -> None:
@@ -94,12 +106,7 @@ def write_table_csv(path: Path, header: tuple[str, ...], columns) -> None:
     columns = [np.asarray(c) for c in columns]
     if len(columns) != len(header):
         raise ValueError("one column per header field required")
-    lines = [",".join(header)]
-    for values in zip(*columns):
-        lines.append(",".join(
-            str(v) if isinstance(v, (int, np.integer)) else FLOAT_FMT % v
-            for v in values))
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    _atomic_write_text(path, _table_text(header, zip(*columns)))
 
 
 def read_table_csv(path: Path) -> dict[str, np.ndarray]:

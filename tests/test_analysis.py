@@ -1,6 +1,7 @@
 """Frequency responses, error statistics, side lobes, SNR and beams."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -54,10 +55,16 @@ def test_real_row_has_conjugate_symmetric_response(rng):
 
 def test_fft_and_direct_response_paths_agree(rng):
     row = complex_vector(rng, 32)
+    stack = np.stack([row, complex_vector(rng, 32), complex_vector(rng, 32)])
     # 128 points take the zero-padded FFT; 16 < 32 taps take the direct product.
-    for m in (128, 16):
+    for m, stack_atol in ((128, 0.0), (16, 1e-12)):
         direct = row @ np.exp(-1j * np.outer(np.arange(32), grid_points(m)))
         np.testing.assert_allclose(row_response(row, m), direct, atol=1e-12)
+        # A stack gives the per-row bits on the FFT path.  The direct path is
+        # one BLAS product, and a matrix-matrix product rounds otherwise than
+        # the matrix-vector product of a single row.
+        per_row = np.stack([row_response(r, m) for r in stack])
+        np.testing.assert_allclose(row_response(stack, m), per_row, rtol=0, atol=stack_atol)
 
 
 def test_filterbank_exact_sits_at_floor():
@@ -175,14 +182,11 @@ def test_mean_degradation_over_all_bins_matches_reference_column():
 
 
 def test_snr_input_validation():
-    with pytest.raises(ValueError):
-        snr_monte_carlo(ALG1, [], replicates=100)
+    # Bad bins: test_analyses_reject_bad_bins_alike.
     with pytest.raises(ValueError):
         snr_monte_carlo(ALG1, [5], replicates=1)
     with pytest.raises(ValueError):
         snr_monte_carlo(ALG1, [5], replicates=100, noise_var=0.0)
-    with pytest.raises(ValueError):
-        snr_monte_carlo(ALG1, [SIZE], replicates=100)
 
 
 def test_beam_zero_points_broadside():
@@ -211,10 +215,20 @@ def test_beam_mirror_symmetry():
     np.testing.assert_allclose(left.magnitude, right.magnitude[::-1], atol=1e-9)
 
 
-def test_beam_rejects_bad_bin():
-    for bins in ([SIZE], [3, -1], []):
-        with pytest.raises(ValueError):
-            beam_pattern(EXACT, bins)
+@pytest.mark.parametrize("analysis", [
+    lambda bins: snr_monte_carlo(ALG1, bins, replicates=100),
+    lambda bins: beam_pattern(EXACT, bins),
+], ids=["snr_monte_carlo", "beam_pattern"])
+@pytest.mark.parametrize("bins, message", [
+    ([], "at least one bin is required"),
+    ([-1], f"bins must lie in 0..{SIZE - 1}"),
+    ([SIZE], f"bins must lie in 0..{SIZE - 1}"),
+    ([3, SIZE], f"bins must lie in 0..{SIZE - 1}"),
+    ([3, -1], f"bins must lie in 0..{SIZE - 1}"),
+], ids=["empty", "negative", "size", "good-and-size", "good-and-negative"])
+def test_analyses_reject_bad_bins_alike(analysis, bins, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        analysis(bins)
 
 
 def test_beam_variant_error_regression():

@@ -118,9 +118,15 @@ def test_circuit_exact_discrepancy_flagged():
 def test_json_payloads_round_trip_semantics():
     rep = count_sequential(Variant.ALG1, PAPER)
     payload = rep.to_json_dict()
+    assert set(payload) == {"variant", "real_mults", "real_adds", "paper_reference_mults",
+                            "paper_reference_adds", "convention", "matches_reference"}
+    assert payload["convention"] == {"complex_mult_scheme": "paper",
+                                     "count_trivial_twiddles": False}
     assert payload["variant"] == "alg1"
     assert payload["real_mults"] == 2883
     assert payload["matches_reference"] is True
     circ = circuit_complexity(Variant.EXACT).to_json_dict()
+    assert set(circ) == {"variant", "multiplier_circuits", "adder_circuits",
+                         "paper_table_values", "matches_paper_table"}
     assert circ["paper_table_values"] == [252, 959]
     assert circ["matches_paper_table"] is False

@@ -1,5 +1,7 @@
 """Round-trips through the CSV/JSON writers and readers."""
 
+import os
+import stat
 import tracemalloc
 
 import numpy as np
@@ -57,6 +59,19 @@ def test_json_round_trip(tmp_path):
     path = tmp_path / "report.json"
     write_json(path, payload)
     assert read_json(path) == payload
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask022", "umask077"])
+def test_artifacts_take_their_mode_from_the_umask(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        write_json(tmp_path / "out.json", {"ok": True})
+        write_sparse_factor_csv(tmp_path / "W0.csv", build_w(0))
+    finally:
+        os.umask(old)
+    for path in tmp_path.iterdir():
+        assert stat.S_IMODE(path.stat().st_mode) == mode, path.name
 
 
 def test_no_temp_files_left_behind(tmp_path):
