@@ -5,7 +5,10 @@ frequency response on a uniform grid over [-pi, pi) drives the error
 envelopes and side-lobe extraction.  SNR degradation is estimated by Monte
 Carlo with a complex-exponential probe per bin in additive white Gaussian
 noise, and beam patterns come from steering a half-wavelength uniform
-linear array across the same rows.
+linear array across the same rows.  Each row of the radix-32 pipeline is
+the outer product of a column-kernel row and a row-kernel row, so a beam
+gain is the product of two 32-tap sums; beams never build the dense
+matrix.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .radix32 import SIZE, TransformSpec, Variant, transform_matrix
+from .radix32 import (N, SIZE, TransformSpec, Variant, _kernel_matrices,
+                      transform_matrix, twiddle_matrix)
 
 DB_FLOOR = -60.0
 # Defaults of the analyses, shared with the CLI.
@@ -297,32 +301,45 @@ def default_angles(count: int = ANGLES) -> np.ndarray:
     return np.linspace(-np.pi / 2, np.pi / 2, count)
 
 
+def _beam_factors(variant: Variant, bins: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The 32-tap factors of each bin's row, (bins, 32) each: fine over i, coarse over c.
+
+    Row d*32+k, laid out over (c, i) with n = 32c + i, is the outer product
+    of Kr[k] over c and Kc[d] * tw[k] over i (the Kronecker form of
+    transform_matrix).
+    """
+    d, k = np.divmod(bins, N)
+    kr, kc = _kernel_matrices(variant)
+    return kc[d] * twiddle_matrix().entries[k], kr[k]
+
+
 def beam_pattern(spec: TransformSpec, bins,
                  angles: np.ndarray | None = None) -> list[BeamPattern]:
     """Beam patterns of the requested bins, one per bin in the order given.
 
     Bin k's pattern is row_k of the variant against e^{j*pi*n*sin(theta)}.
+    With n = 32c + i that sum factors into a 32-tap sum over i and one over
+    c, so the dense matrix is never built.
     """
     bins = _checked_bins(bins)
     angles = default_angles() if angles is None else np.asarray(angles, dtype=float)
     if angles.size == 0:
         raise ValueError("at least one steering angle is required")
-    mat_var = transform_matrix(spec)
-    mat_ex = transform_matrix(TransformSpec(Variant.EXACT))
-    # Steering _ANGLE_CHUNK angles at a time, with the exponential taken in
-    # place, keeps memory flat in the angle count; each chunk is built once
-    # for all bins.  One gemv per row returns the same bits as the full
-    # steering matrix; one gemm over the stacked rows does not.
+    # Variant rows, then exact rows: each steering chunk serves both.
+    fine_var, coarse_var = _beam_factors(spec.variant, bins)
+    fine_ex, coarse_ex = _beam_factors(Variant.EXACT, bins)
+    fine = np.concatenate([fine_var, fine_ex])
+    coarse = np.concatenate([coarse_var, coarse_ex])
+    # _ANGLE_CHUNK angles at a time keeps memory flat in the angle count.
     sines = np.sin(angles).ravel()
+    taps = 1j * np.pi * np.arange(N)
     gains = np.empty((len(bins), sines.size), dtype=complex)
-    norms = [0.0] * len(bins)
+    norms = np.zeros(len(bins))
     for start in range(0, sines.size, _ANGLE_CHUNK):
-        chunk = slice(start, start + _ANGLE_CHUNK)
-        steering = 1j * np.pi * np.outer(np.arange(SIZE), sines[chunk])
-        np.exp(steering, out=steering)
-        for i, k in enumerate(bins):
-            gains[i, chunk] = mat_var[k] @ steering
-            norms[i] = max(norms[i], np.abs(mat_ex[k] @ steering).max())
-    return [BeamPattern(bin_index=k, angles=angles,
-                        gain=gain / norm)
+        chunk = sines[start:start + _ANGLE_CHUNK]
+        gain = ((fine @ np.exp(np.outer(taps, chunk)))
+                * (coarse @ np.exp(np.outer(N * taps, chunk))))
+        gains[:, start:start + chunk.size] = gain[:len(bins)]
+        np.maximum(norms, np.abs(gain[len(bins):]).max(axis=1), out=norms)
+    return [BeamPattern(bin_index=k, angles=angles, gain=gain / norm)
             for k, gain, norm in zip(bins, gains, norms)]

@@ -3,7 +3,7 @@
 Every command writes deterministic artifacts for a given set of flags (and
 seed, where randomness is involved), so outputs are directly comparable in
 CI or across machines.  Exit codes: 0 success, 1 a verification check
-failed, 2 usage error.
+failed, 2 usage or I/O error (one ``error: ...`` line on stderr).
 """
 
 from __future__ import annotations
@@ -333,18 +333,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _resolve_config(args)
+        return args.run(args, _resolve_config(args))
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        return args.run(args, cfg)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

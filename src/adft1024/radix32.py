@@ -130,6 +130,18 @@ def transform_1024(x: np.ndarray, spec: TransformSpec) -> np.ndarray:
     return out if batched else out[:, 0]
 
 
+def _kernel_matrices(variant: Variant, col_scale: float | None = None
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """(Kr, Kc): the 32-point matrices in the row and column positions.
+
+    An approximate column kernel carries col_scale (adft32_matrix's
+    convention); the approximate row kernel always carries OUTPUT_SCALE.
+    """
+    kr = dft_matrix(N) if variant.row_kernel_exact else adft32_matrix()
+    kc = dft_matrix(N) if variant.col_kernel_exact else adft32_matrix(col_scale)
+    return kr, kc
+
+
 @lru_cache(maxsize=len(VARIANTS))
 def transform_matrix(spec: TransformSpec) -> np.ndarray:
     """Dense 1024x1024 matrix of the selected transform (column c is the
@@ -140,18 +152,17 @@ def transform_matrix(spec: TransformSpec) -> np.ndarray:
     pipeline, one product per entry and no sums, evaluated in the pipeline's
     order so each value is what transform_1024 returns for a unit impulse.
     """
-    variant = spec.variant
-    kr = dft_matrix(N) if variant.row_kernel_exact else adft32_matrix()
+    kr, kc = _kernel_matrices(spec.variant, col_scale=1.0)
     rows = twiddle_matrix().entries[:, None, :] * kr[:, :, None]   # [k, c, i]
-    if variant.col_kernel_exact:
+    if spec.variant.col_kernel_exact:
         # K=1 batched matmul over i, rounding each product as BLAS does in
         # the pipeline's column matmul.
-        prod = np.matmul(dft_matrix(N).T[:, :, None],
+        prod = np.matmul(kc.T[:, :, None],
                          rows.transpose(2, 0, 1).reshape(N, 1, SIZE))  # [i, d, (k, c)]
         out = prod.reshape(N, N, N, N).transpose(1, 2, 3, 0).reshape(SIZE, SIZE)
     else:
         # The adds-only chain is exact on a single nonzero input, so the raw
         # kernel entry times the input, scaled afterwards, is its output.
-        out = (adft32_matrix(1.0)[:, None, None, :] * rows[None]).reshape(SIZE, SIZE)
+        out = (kc[:, None, None, :] * rows[None]).reshape(SIZE, SIZE)
         out *= OUTPUT_SCALE
     return _readonly(out)

@@ -44,12 +44,18 @@ def _atomic_write_text(path: Path, text: str | Iterable[str]) -> None:
 
 
 def _table_text(header: tuple[str, ...], rows) -> str:
-    """A header line, then one line per row: ints by str, floats by FLOAT_FMT."""
+    """A header line, then one line per row: ints by %d, floats by FLOAT_FMT.
+
+    Each column keeps the type of its first value, so the first row fixes
+    one format for every row.
+    """
     lines = [",".join(header)]
+    fmt = None
     for values in rows:
-        lines.append(",".join(
-            str(v) if isinstance(v, (int, np.integer)) else FLOAT_FMT % v
-            for v in values))
+        if fmt is None:
+            fmt = ",".join("%d" if isinstance(v, (int, np.integer)) else FLOAT_FMT
+                           for v in values)
+        lines.append(fmt % tuple(values))
     return "\n".join(lines) + "\n"
 
 
@@ -106,7 +112,7 @@ def write_table_csv(path: Path, header: tuple[str, ...], columns) -> None:
     columns = [np.asarray(c) for c in columns]
     if len(columns) != len(header):
         raise ValueError("one column per header field required")
-    _atomic_write_text(path, _table_text(header, zip(*columns)))
+    _atomic_write_text(path, _table_text(header, zip(*(c.tolist() for c in columns))))
 
 
 def read_table_csv(path: Path) -> dict[str, np.ndarray]:

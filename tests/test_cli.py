@@ -111,9 +111,11 @@ def test_snr_rejects_out_of_range_bins(tmp_path):
      "unknown key 'variant'"),
     (("--config", "{config}", "snr", "--variant", "alg1", "--bins", "0"), "seed = 1.5\n",
      "run.cfg:1: seed: expected an integer, got '1.5'"),
+    (("--out-dir", "{config}/sub", "complexity"), "", "Not a directory"),
 ], ids=["grid-size-1", "replicates-1", "seed-negative", "noise-var-0", "noise-var-nan",
         "noise-var-inf", "angles-0", "angles-negative", "bin-1024", "config-replicates-1",
-        "config-cost-model-bogus", "config-variant-key", "config-seed-float"])
+        "config-cost-model-bogus", "config-variant-key", "config-seed-float",
+        "out-dir-under-a-file"])
 def test_bad_values_exit_2_with_one_line(tmp_path, capsys, argv, config_text, expect):
     config = tmp_path / "run.cfg"
     config.write_text(config_text)

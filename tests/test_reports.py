@@ -1,5 +1,6 @@
 """Round-trips through the CSV/JSON writers and readers."""
 
+import math
 import os
 import stat
 import tracemalloc
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from adft1024.factors import build_w
-from adft1024.reports import (read_json, read_matrix_csv, read_table_csv,
+from adft1024.reports import (_table_text, read_json, read_matrix_csv, read_table_csv,
                               write_dense_matrix_csv, write_json,
                               write_sparse_factor_csv, write_table_csv)
 
@@ -152,3 +153,29 @@ def test_table_round_trip_keeps_values_and_int_columns(tmp_path_factory, columns
     assert np.array_equal(back["k"], ints)
     assert np.array_equal(back["x"], floats)
     assert np.array_equal(np.signbit(back["x"]), np.signbit(floats))
+
+
+TABLE_FLOATS = st.one_of(
+    st.sampled_from([-0.0, math.inf, -math.inf, math.nan, 1e-300, -1e-300]),
+    st.floats())
+
+
+def _table_columns(n):
+    int_column = arrays(np.int64, n, elements=st.integers(-2 ** 63, 2 ** 63 - 1))
+    float_column = arrays(float, n, elements=TABLE_FLOATS)
+    return st.lists(st.one_of(int_column, float_column), min_size=1, max_size=5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 12).flatmap(_table_columns))
+@example(columns=[np.array([3, -4]), np.array([-0.0, math.nan]),
+                  np.array([math.inf, -1e-300])])
+@example(columns=[np.array([], dtype=np.int64), np.array([], dtype=float)])
+def test_table_text_equals_per_value_formatting(columns):
+    header = tuple(f"c{i}" for i in range(len(columns)))
+    expected = "".join(
+        [",".join(header) + "\n"]
+        + [",".join(str(v) if isinstance(v, (int, np.integer)) else "%.17g" % v
+                    for v in row) + "\n" for row in zip(*columns)])
+    assert _table_text(header, zip(*columns)) == expected
+    assert _table_text(header, zip(*(c.tolist() for c in columns))) == expected
