@@ -6,8 +6,10 @@ envelopes and side-lobe extraction.  SNR degradation is estimated by Monte
 Carlo with a complex-exponential probe per bin in additive white Gaussian
 noise, and beam patterns come from steering a half-wavelength uniform
 linear array across the same rows.  Each row of the radix-32 pipeline is
-the outer product of a column-kernel row and a row-kernel row, so a beam
-gain is the product of two 32-tap sums; beams never build the dense
+the outer product of a column-kernel row and a row-kernel row, so its
+response at any frequency is the product of two 32-tap sums.  The filter
+bank and the beams are computed that way, a block of frequencies at a
+time: neither builds a rows x grid array, and beams never build the dense
 matrix.
 """
 
@@ -27,7 +29,7 @@ REPLICATES = 10_000
 ANGLES = 4096
 _ZERO_ENERGY = 1e-20
 _ROW_CHUNK = 128
-_ANGLE_CHUNK = 512
+_FREQ_BLOCK = 512   # frequencies (or steering angles) per factored-response block
 _REPLICATE_CHUNK = 512
 
 
@@ -91,41 +93,72 @@ def _energy_db(value: float) -> float:
     return float(max(10 * np.log10(value), DB_FLOOR))
 
 
-def _error_db_rows(exact: np.ndarray, approx: np.ndarray, grid_size: int,
-                   out: np.ndarray) -> None:
-    """Floored dB response error of approx rows against exact rows, into out."""
-    h_exact = row_response(exact, grid_size)
-    peak = np.abs(h_exact).max(axis=1, keepdims=True)
-    h_err = row_response(approx, grid_size)
-    np.subtract(h_err, h_exact, out=h_err)
-    del h_exact
-    err = np.abs(h_err)
-    del h_err
-    err /= peak
-    with np.errstate(divide="ignore"):
-        np.log10(err, out=err)
-    err *= 20
-    np.maximum(err, DB_FLOOR, out=out)
+def _row_factors(variant: Variant, bins) -> tuple[np.ndarray, np.ndarray]:
+    """The 32-tap factors of each bin's row, (32, bins) each: fine over i, coarse over c.
+
+    Row d*32+k, laid out over (c, i) with n = 32c + i, is the outer product
+    of Kr[k] over c and Kc[d] * tw[k] over i (the Kronecker form of
+    transform_matrix).
+    """
+    d, k = np.divmod(np.asarray(bins), N)
+    kr, kc = _kernel_matrices(variant)
+    return np.ascontiguousarray((kc[d] * twiddle_matrix().entries[k]).T), kr[k].T
+
+
+def _factored_response(fine: np.ndarray, coarse: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """H(w) = sum_n row[n] e^{-jwn} of rows given by their factors, (w, rows).
+
+    H_r(w) = (fine[:, r] . e^{-jwi}) (coarse[:, r % K] . e^{-j32wc}) with K
+    coarse columns, so rows sharing a coarse factor share its 32-tap sums.
+    """
+    taps = -1j * np.arange(N)
+    h = np.exp(np.outer(w, taps)) @ fine
+    by_coarse = h.reshape(w.size, -1, coarse.shape[1])
+    by_coarse *= (np.exp(np.outer(N * w, taps)) @ coarse)[:, None, :]
+    return h
 
 
 def filterbank_error(spec: TransformSpec, grid_size: int = GRID_SIZE) -> RowErrorStats:
-    """Frequency-response error of every row of a variant against the exact DFT."""
-    frequencies = grid_points(grid_size)
-    exact = transform_matrix(TransformSpec(Variant.EXACT))
-    approx = transform_matrix(spec)
+    """Frequency-response error of every row of a variant against the exact DFT.
 
-    # Only the rows x grid dB matrix is kept whole; responses are formed
-    # _ROW_CHUNK rows at a time.
-    err_db = np.empty((SIZE, grid_size))
+    Responses come from each row's two 32-tap factors, _FREQ_BLOCK
+    frequencies at a time.  A first pass takes each exact row's peak over
+    the grid; a second forms the floored dB error of each (frequencies x
+    rows) block and reduces it across rows, so no rows x grid array is
+    built.  Row error energies are taken on the dense rows.
+    """
+    frequencies = grid_points(grid_size)
+    blocks = [slice(start, start + _FREQ_BLOCK) for start in range(0, grid_size, _FREQ_BLOCK)]
+    exact, approx = (_row_factors(v, range(SIZE)) for v in (Variant.EXACT, spec.variant))
+    # Bins 0..31 hold coarse factors k = 0..31 and bin d*32+k uses factor k,
+    # so only those 32 columns are kept: each k's sums are formed once.
+    exact, approx = ((fine, coarse[:, :N]) for fine, coarse in (exact, approx))
+
+    peak = np.zeros(SIZE)
+    for block in blocks:
+        np.maximum(peak, np.abs(_factored_response(*exact, frequencies[block])).max(axis=0),
+                   out=peak)
+    lower, q1, q2, q3, upper = curves = np.empty((5, grid_size))
+    for block in blocks:
+        h_err = _factored_response(*approx, frequencies[block])
+        h_err -= _factored_response(*exact, frequencies[block])
+        err = np.abs(h_err)
+        del h_err
+        err /= peak
+        with np.errstate(divide="ignore"):
+            np.log10(err, out=err)
+        err *= 20
+        np.maximum(err, DB_FLOOR, out=err)
+        lower[block], upper[block] = err.min(axis=1), err.max(axis=1)
+        curves[1:4, block] = np.percentile(err, [25, 50, 75], axis=1, overwrite_input=True)
+
+    exact_rows = transform_matrix(TransformSpec(Variant.EXACT))
+    approx_rows = transform_matrix(spec)
     energy = np.empty(SIZE)
     for start in range(0, SIZE, _ROW_CHUNK):
         chunk = slice(start, start + _ROW_CHUNK)
-        _error_db_rows(exact[chunk], approx[chunk], grid_size, out=err_db[chunk])
-        diff = approx[chunk] - exact[chunk]
+        diff = approx_rows[chunk] - exact_rows[chunk]
         energy[chunk] = np.real(np.einsum("ij,ij->i", diff, diff.conj()))
-
-    lower, upper = err_db.min(axis=0), err_db.max(axis=0)
-    q1, q2, q3 = np.percentile(err_db, [25, 50, 75], axis=0, overwrite_input=True)
     nonzero = energy[energy > _ZERO_ENERGY]
     return RowErrorStats(
         frequencies=frequencies,
@@ -281,9 +314,10 @@ def snr_monte_carlo(spec: TransformSpec, bins, replicates: int = REPLICATES,
 class BeamPattern:
     """Complex gain of one transform row steered across a half-wavelength ULA.
 
-    Gains are normalized so the exact-DFT beam for the same bin peaks at 1;
-    for the exact DFT, beam k points at sin(theta) = 2k/1024 wrapped into
-    [-1, 1).
+    Gains are divided by the exact row's main-lobe peak, so the exact-DFT
+    beam for the same bin peaks at 1 in its main-lobe direction, whatever
+    angles are requested; beam k points at sin(theta) = 2k/1024 wrapped
+    into [-1, 1).
     """
 
     bin_index: int
@@ -301,45 +335,29 @@ def default_angles(count: int = ANGLES) -> np.ndarray:
     return np.linspace(-np.pi / 2, np.pi / 2, count)
 
 
-def _beam_factors(variant: Variant, bins: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The 32-tap factors of each bin's row, (bins, 32) each: fine over i, coarse over c.
-
-    Row d*32+k, laid out over (c, i) with n = 32c + i, is the outer product
-    of Kr[k] over c and Kc[d] * tw[k] over i (the Kronecker form of
-    transform_matrix).
-    """
-    d, k = np.divmod(bins, N)
-    kr, kc = _kernel_matrices(variant)
-    return kc[d] * twiddle_matrix().entries[k], kr[k]
-
-
 def beam_pattern(spec: TransformSpec, bins,
                  angles: np.ndarray | None = None) -> list[BeamPattern]:
     """Beam patterns of the requested bins, one per bin in the order given.
 
-    Bin k's pattern is row_k of the variant against e^{j*pi*n*sin(theta)}.
-    With n = 32c + i that sum factors into a 32-tap sum over i and one over
-    c, so the dense matrix is never built.
+    Bin k's pattern is row_k of the variant against e^{j*pi*n*sin(theta)},
+    its response at w = -pi*sin(theta), taken from the row's two 32-tap
+    factors, so the dense matrix is never built.  Gains are divided by the
+    exact row's main-lobe peak, sum |row|: the product of its factors' l1
+    norms.
     """
     bins = _checked_bins(bins)
     angles = default_angles() if angles is None else np.asarray(angles, dtype=float)
     if angles.size == 0:
         raise ValueError("at least one steering angle is required")
-    # Variant rows, then exact rows: each steering chunk serves both.
-    fine_var, coarse_var = _beam_factors(spec.variant, bins)
-    fine_ex, coarse_ex = _beam_factors(Variant.EXACT, bins)
-    fine = np.concatenate([fine_var, fine_ex])
-    coarse = np.concatenate([coarse_var, coarse_ex])
-    # _ANGLE_CHUNK angles at a time keeps memory flat in the angle count.
-    sines = np.sin(angles).ravel()
-    taps = 1j * np.pi * np.arange(N)
-    gains = np.empty((len(bins), sines.size), dtype=complex)
-    norms = np.zeros(len(bins))
-    for start in range(0, sines.size, _ANGLE_CHUNK):
-        chunk = sines[start:start + _ANGLE_CHUNK]
-        gain = ((fine @ np.exp(np.outer(taps, chunk)))
-                * (coarse @ np.exp(np.outer(N * taps, chunk))))
-        gains[:, start:start + chunk.size] = gain[:len(bins)]
-        np.maximum(norms, np.abs(gain[len(bins):]).max(axis=1), out=norms)
-    return [BeamPattern(bin_index=k, angles=angles, gain=gain / norm)
-            for k, gain, norm in zip(bins, gains, norms)]
+    fine, coarse = _row_factors(spec.variant, bins)
+    fine_ex, coarse_ex = _row_factors(Variant.EXACT, bins)
+    peaks = np.abs(fine_ex).sum(axis=0) * np.abs(coarse_ex).sum(axis=0)
+    # _FREQ_BLOCK angles at a time keeps memory flat in the angle count.
+    w = -np.pi * np.sin(angles).ravel()
+    gains = np.empty((len(bins), w.size), dtype=complex)
+    for start in range(0, w.size, _FREQ_BLOCK):
+        block = slice(start, start + _FREQ_BLOCK)
+        gains[:, block] = _factored_response(fine, coarse, w[block]).T
+    gains /= peaks[:, None]
+    return [BeamPattern(bin_index=k, angles=angles, gain=gain)
+            for k, gain in zip(bins, gains)]

@@ -190,7 +190,8 @@ def test_snr_input_validation():
 
 
 def test_beam_zero_points_broadside():
-    pattern = beam_pattern(EXACT, [0])[0]
+    # An odd angle count puts one angle at broadside, bin 0's main-lobe peak.
+    pattern = beam_pattern(EXACT, [0], default_angles(4095))[0]
     step = pattern.angles[1] - pattern.angles[0]
     assert abs(pattern.angles[np.argmax(pattern.magnitude)]) <= step
     assert pattern.magnitude.max() == pytest.approx(1.0, abs=1e-12)
@@ -258,11 +259,19 @@ def _traced_peak(fn):
 
 
 def _unchunked_filterbank(spec, m):
-    """The whole-matrix formula: every row's response held at once."""
-    ramp = (-1.0) ** np.arange(SIZE)
+    """The whole-matrix formula: every row's response held at once.
+
+    Each response is one length-m FFT of the row times (-1)^n, folded
+    modulo m first (time aliasing), so grids shorter than a row are exact.
+    """
+    def responses(rows):
+        folded = np.zeros((SIZE, -(-SIZE // m) * m), dtype=complex)
+        folded[:, :SIZE] = rows * (-1.0) ** np.arange(SIZE)
+        return np.fft.fft(folded.reshape(SIZE, -1, m).sum(axis=1), axis=1)
+
     exact, approx = transform_matrix(EXACT), transform_matrix(spec)
-    h_exact = np.fft.fft(exact * ramp, n=m, axis=1)
-    h_err = np.fft.fft(approx * ramp, n=m, axis=1) - h_exact
+    h_exact = responses(exact)
+    h_err = responses(approx) - h_exact
     with np.errstate(divide="ignore"):
         err_db = np.maximum(20 * np.log10(
             np.abs(h_err) / np.abs(h_exact).max(axis=1, keepdims=True)), DB_FLOOR)
@@ -274,12 +283,17 @@ def _unchunked_filterbank(spec, m):
 
 @pytest.mark.parametrize("variant", [Variant.ALG1, Variant.ALG2, Variant.ALG3])
 def test_filterbank_chunked_rows_equal_unchunked_formula(variant):
+    # 1024 divides none of these grids, and 37 is shorter than a row.  (A
+    # divisor such as 16 lands on exact nulls of most exact rows, so their
+    # grid peaks, and both sides' curves, would be rounding noise.)
     spec = TransformSpec(variant)
-    stats = filterbank_error(spec, 2048)
-    got = (stats.lower_envelope, stats.q1, stats.q2, stats.q3,
-           stats.upper_envelope, stats.row_error_energy)
-    for g, r in zip(got, _unchunked_filterbank(spec, 2048)):
-        assert np.array_equal(g, r)
+    for m in (2048, 1000, 37):
+        stats = filterbank_error(spec, m)
+        *oracle_curves, oracle_energy = _unchunked_filterbank(spec, m)
+        curves = (stats.lower_envelope, stats.q1, stats.q2, stats.q3, stats.upper_envelope)
+        for got, expected in zip(curves, oracle_curves):
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9)
+        assert np.array_equal(stats.row_error_energy, oracle_energy)
 
 
 def test_filterbank_memory_is_bounded_by_its_db_matrix():
@@ -287,6 +301,13 @@ def test_filterbank_memory_is_bounded_by_its_db_matrix():
     transform_matrix(EXACT), transform_matrix(ALG1)   # measure the analysis only
     peak = _traced_peak(lambda: filterbank_error(ALG1, m))
     assert peak < 2.5 * SIZE * m * 8
+
+
+def test_filterbank_memory_is_flat_in_grid_size():
+    # A rows x grid dB matrix at the default grid alone is 64 MiB.
+    transform_matrix(EXACT), transform_matrix(ALG1)   # measure the analysis only
+    peak = _traced_peak(lambda: filterbank_error(ALG1, GRID_SIZE))
+    assert peak < 48 * 2 ** 20
 
 
 @pytest.mark.parametrize("count", [1, 1000, 4096])
@@ -300,14 +321,25 @@ def test_beam_chunked_angles_equal_full_steering(spec, count):
         patterns = beam_pattern(spec, bins, angles)
         assert [p.bin_index for p in patterns] == list(bins)
         for k, pattern in zip(bins, patterns):
-            # Undo the normalisation with the oracle's own maximum over these
-            # angles, then scale by the exact beam's main-lobe peak, sum |row|:
-            # a single angle on an exact null normalises rounding noise.
-            norm = np.abs(exact[k] @ steering).max()
+            # Gains are relative to the exact beam's main-lobe peak, sum |row|.
             peak = np.abs(exact[k]).sum()
             expected = transform_matrix(spec)[k] @ steering
-            np.testing.assert_allclose(pattern.gain * norm / peak, expected / peak,
-                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(pattern.gain, expected / peak, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("spec", [EXACT, ALG1])
+def test_beam_gain_does_not_depend_on_the_other_angles(spec):
+    # -pi/2 is an exact null of every exact beam but bin 512's.  The fixed
+    # angles are requested alone, then among 33 and among 4096 angles.
+    fixed = np.array([-np.pi / 2, -0.3, 0.0, 0.7])
+    bins = (3, 100, 512, 1023)
+    alone = np.array([[p.gain[0] for p in beam_pattern(spec, bins, [theta])]
+                      for theta in fixed]).T   # (bins, fixed)
+    for others in (default_angles(29), default_angles(4092)):
+        angles = np.concatenate([others[:7], fixed, others[7:]])
+        patterns = beam_pattern(spec, bins, angles)
+        among = np.array([p.gain[7:7 + fixed.size] for p in patterns])
+        np.testing.assert_allclose(among, alone, rtol=0, atol=1e-12)
 
 
 def test_beam_pattern_builds_no_dense_matrix():

@@ -4,6 +4,7 @@ import math
 import os
 import stat
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from adft1024 import reports
 from adft1024.factors import build_w
-from adft1024.reports import (_table_text, read_json, read_matrix_csv, read_table_csv,
+from adft1024.reports import (FLOAT_FMT, _table_text, read_json, read_matrix_csv, read_table_csv,
                               write_dense_matrix_csv, write_json,
                               write_sparse_factor_csv, write_table_csv)
 
@@ -179,3 +181,29 @@ def test_table_text_equals_per_value_formatting(columns):
                     for v in row) + "\n" for row in zip(*columns)])
     assert _table_text(header, zip(*columns)) == expected
     assert _table_text(header, zip(*(c.tolist() for c in columns))) == expected
+
+
+# A small pool gives rows of repeated values (the memo path); st.floats()
+# gives rows of mostly new values (the direct path).
+DENSE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e-300, -1e-300, 1 / 3]),
+    st.floats())
+
+
+@settings(max_examples=100, deadline=None)
+@given(memo_size=st.sampled_from([1, 4, reports._MEMO_SIZE]),
+       parts=arrays(float, st.tuples(st.integers(1, 6), st.integers(1, 6), st.just(2)),
+                    elements=DENSE_FLOATS))
+@example(memo_size=2, parts=np.array([[[0.0, -0.0], [-0.0, 0.0]],
+                                      [[1e-300, -1e-300], [0.0, 1e-300]]]))
+def test_dense_matrix_text_equals_per_value_formatting(tmp_path_factory, memo_size, parts):
+    # Memos smaller than the distinct values of a matrix are emptied and
+    # refilled as the rows go by.
+    m = parts.view(complex)[..., 0]
+    path = tmp_path_factory.mktemp("dense") / "m.csv"
+    with mock.patch.object(reports, "_MEMO_SIZE", memo_size):
+        write_dense_matrix_csv(path, m)
+    expected = ["row,col,re,im\n"] + [
+        f"{r},{c},{FLOAT_FMT % m[r, c].real},{FLOAT_FMT % m[r, c].imag}\n"
+        for r in range(m.shape[0]) for c in range(m.shape[1])]
+    assert path.read_text() == "".join(expected)
