@@ -40,6 +40,18 @@ def grid_points(m: int) -> np.ndarray:
     return -np.pi + 2 * np.pi * np.arange(m) / m
 
 
+def _check_row_grid(m: int) -> None:
+    """Refuse a grid on which each exact row's grid peak would be rounding noise.
+
+    A grid shorter than 1024 whose size divides 1024 lies on exact nulls of
+    every exact row whose peak it misses; the analyses that divide by a
+    row's grid peak cannot use it.
+    """
+    if 2 <= m < SIZE and SIZE % m == 0:
+        raise ValueError(f"grid size {m} divides {SIZE}: it samples most exact rows"
+                         " only at their nulls")
+
+
 def row_response(rows: np.ndarray, grid_size: int) -> np.ndarray:
     """H(w) = sum_n c_n e^{-jwn} on grid_points(grid_size) for a row (n,) or each of (r, n).
 
@@ -127,6 +139,7 @@ def filterbank_error(spec: TransformSpec, grid_size: int = GRID_SIZE) -> RowErro
     rows) block and reduces it across rows, so no rows x grid array is
     built.  Row error energies are taken on the dense rows.
     """
+    _check_row_grid(grid_size)
     frequencies = grid_points(grid_size)
     blocks = [slice(start, start + _FREQ_BLOCK) for start in range(0, grid_size, _FREQ_BLOCK)]
     exact, approx = (_row_factors(v, range(SIZE)) for v in (Variant.EXACT, spec.variant))
@@ -217,6 +230,7 @@ def _side_lobe_rows(mag: np.ndarray) -> np.ndarray:
 
 def worst_side_lobe(spec: TransformSpec, grid_size: int = GRID_SIZE) -> SideLobeReport:
     """Side-lobe levels of all rows of a variant; worst = largest (max dB)."""
+    _check_row_grid(grid_size)
     rows = transform_matrix(spec)
     per_row = np.empty(rows.shape[0])
     for start in range(0, rows.shape[0], _ROW_CHUNK):

@@ -6,6 +6,13 @@ by exact 1024th roots of unity, the columns are transformed by a second
 32-point kernel, and the array is flattened back.  Choosing the exact DFT
 for both kernels reproduces the exact 1024-point DFT; the three approximate
 variants swap the multiplierless kernel into one or both positions.
+
+The pipeline holds one full-size buffer, its output (the four-step layout
+of Bailey's "FFTs in external or hierarchical memory", 1990).  The row
+kernel writes each row's bins straight into it in [i, k, b] order, the
+twiddle weights it in place, and the column kernel transforms it in place
+to [d, k, b], which is bin order d*32 + k: no transposed copy is made.
+Each kernel runs in passes of at most _COLUMN_CHUNK columns.
 """
 
 from __future__ import annotations
@@ -16,8 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .transforms import (OUTPUT_SCALE, _readonly, adft32_apply, adft32_matrix,
-                         dft_matrix)
+from .transforms import (_COLUMN_CHUNK, OUTPUT_SCALE, _readonly, adft32_apply,
+                         adft32_matrix, dft_matrix)
 
 N = 32
 SIZE = N * N
@@ -95,17 +102,38 @@ def vec(mat: np.ndarray) -> np.ndarray:
     return mat.reshape((r * c,) + mat.shape[2:], order="F")
 
 
-def _kernel(exact: bool, block: np.ndarray) -> np.ndarray:
-    """Apply the configured 32-point kernel to the columns of block."""
-    if exact:
-        return dft_matrix(N) @ block
-    return adft32_apply(block)
+def _passes(m: int, nbatch: int) -> list[tuple[slice, slice]]:
+    """(m, b) slices of the passes over the columns of a (32, m, nbatch) view.
+
+    A pass holds at most _COLUMN_CHUNK columns: whole m-slices while a batch
+    fits, else one m-slice and a run of the batch axis.
+    """
+    if nbatch > _COLUMN_CHUNK:
+        return [(slice(j, j + 1), slice(b, b + _COLUMN_CHUNK))
+                for j in range(m) for b in range(0, nbatch, _COLUMN_CHUNK)]
+    step = _COLUMN_CHUNK // max(nbatch, 1)
+    return [(slice(j, j + step), slice(None)) for j in range(0, m, step)]
+
+
+def _kernel(exact: bool, src: np.ndarray, dst: np.ndarray) -> None:
+    """Apply the configured 32-point kernel along axis 0 of (32, M, B) views.
+
+    One pass at a time: a pass's columns are read from src as one 2-D
+    (32, columns) block, transformed into a pass-sized temporary and written
+    to dst, so dst may be src itself or a strided view such as a transpose.
+    """
+    for m, b in _passes(*src.shape[1:]):
+        block = src[:, m, b]
+        cols = block.reshape(N, block.size // N)
+        dst[:, m, b] = (dft_matrix(N) @ cols if exact
+                        else adft32_apply(cols)).reshape(block.shape)
 
 
 def transform_1024(x: np.ndarray, spec: TransformSpec) -> np.ndarray:
     """Evaluate the selected 1024-point transform on x ((1024,) or (1024, B)).
 
-    The exact variant equals dft_direct to 1e-9 relative.
+    The exact variant equals dft_direct to 1e-9 relative.  The output is the
+    only full-size buffer (see the module docstring).
     """
     x = np.asarray(x, dtype=complex)
     if x.shape[0] != SIZE:
@@ -114,19 +142,19 @@ def transform_1024(x: np.ndarray, spec: TransformSpec) -> np.ndarray:
     xb = x if batched else x[:, None]
     nbatch = xb.shape[1]
 
-    rows_in = xb.reshape(N, N * nbatch)              # [c, (i, b)] = x[c*N+i, b]
-    rows_out = _kernel(spec.variant.row_kernel_exact, rows_in)
-    p = rows_out.reshape(N, N, nbatch)               # p[k, i, b]: row i transformed
+    y = np.empty((N, N, nbatch), dtype=complex)
+    # Rows: [c, i, b] = x[c*N+i, b] in, row i's bin k out to y[i, k, b].
+    _kernel(spec.variant.row_kernel_exact, xb.reshape(N, N, nbatch), y.transpose(1, 0, 2))
 
-    # Twiddle in place.  numpy's complex product is not symmetric in its
-    # operands, so keep tw * p: p * tw differs in the last bit.
-    np.multiply(twiddle_matrix().entries[:, :, None], p, out=p)
+    # Twiddle in place: y[i, k, b] *= tw[k, i], which is tw[i, k] (the grid is
+    # symmetric).  numpy's complex product is not symmetric in its operands,
+    # so keep tw * y: y * tw differs in the last bit.
+    np.multiply(twiddle_matrix().entries[:, :, None], y, out=y)
 
-    cols_in = p.transpose(1, 0, 2).reshape(N, N * nbatch)
-    cols_out = _kernel(spec.variant.col_kernel_exact, cols_in)
-    r = cols_out.reshape(N, N, nbatch)               # r[d, k, b]
+    # Columns in place: y[i, k, b] -> y[d, k, b], so bin d*N + k is y[d, k].
+    _kernel(spec.variant.col_kernel_exact, y, y)
 
-    out = r.reshape(SIZE, nbatch)                    # bin index = d*N + k
+    out = y.reshape(SIZE, nbatch)
     return out if batched else out[:, 0]
 
 

@@ -24,7 +24,8 @@ from .factors import all_factors
 # reproduce.
 OUTPUT_SCALE = 1.0 / math.sqrt(32.0)
 
-# Columns per adft32_apply pass: 1 MiB per re/im lane set.  Wider passes
+# Columns per kernel pass, in adft32_apply and in the 1024-point pipeline's
+# in-place passes (radix32._kernel): 1 MiB per re/im lane set.  Wider passes
 # spread the chains' fixed per-call cost further, but the pass buffers grow
 # with the width; 4096 is the widest that keeps the kernel's peak memory
 # below 1.5x its output.
@@ -38,11 +39,16 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def dft_matrix(n: int) -> np.ndarray:
-    """Unitary n-point DFT matrix: entry (k, m) = omega_n^{km} / sqrt(n)."""
+    """Unitary n-point DFT matrix: entry (k, m) = omega_n^{km} / sqrt(n).
+
+    The n distinct roots are computed once and indexed by k*m mod n; each
+    entry has the bits of exp(-2j*pi*(k*m % n)/n) / sqrt(n) taken directly.
+    """
     if n < 1:
         raise ValueError("transform size must be >= 1")
-    k, m = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    return _readonly(np.exp(-2j * np.pi * (k * m % n) / n) / math.sqrt(n))
+    k = np.arange(n)
+    roots = np.exp(-2j * np.pi * k / n) / math.sqrt(n)
+    return _readonly(roots[np.multiply.outer(k, k) % n])
 
 
 def dft_direct(x: np.ndarray) -> np.ndarray:

@@ -106,6 +106,19 @@ def test_filterbank_alg2_alg3_share_row_energy_statistics():
                                sorted(s3.row_error_energy), atol=1e-12)
 
 
+@pytest.mark.parametrize("analysis", [filterbank_error, worst_side_lobe])
+def test_row_analyses_reject_grids_on_exact_nulls(analysis):
+    # A grid shorter than 1024 whose size divides 1024 meets every exact row
+    # whose peak it misses only at its nulls: the row's grid peak, which
+    # both analyses divide by, would be rounding noise.
+    from adft1024.analysis import _check_row_grid
+    for m in (2, 16, 512):
+        with pytest.raises(ValueError, match=f"grid size {m} divides 1024"):
+            analysis(ALG1, m)
+    for m in (3, 37, 1000, 1024, 2048, GRID_SIZE):
+        _check_row_grid(m)
+
+
 def test_sidelobe_vectorized_scan_matches_reference(rng):
     from adft1024.analysis import _side_lobe_rows
     taps = rng.standard_normal((40, 24)) + 1j * rng.standard_normal((40, 24))

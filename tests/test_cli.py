@@ -95,6 +95,8 @@ def test_snr_rejects_out_of_range_bins(tmp_path):
 
 @pytest.mark.parametrize("argv, config_text, expect", [
     (("filterbank", "--variant", "alg1", "--grid-size", "1"), "", ""),
+    (("filterbank", "--variant", "alg1", "--grid-size", "16"), "",
+     "grid size 16 divides 1024"),
     (("snr", "--variant", "alg1", "--replicates", "1"), "", ""),
     (("snr", "--variant", "alg1", "--replicates", "100", "--seed", "-1"), "", ""),
     (("snr", "--variant", "alg1", "--replicates", "100", "--noise-var", "0"), "", ""),
@@ -112,10 +114,10 @@ def test_snr_rejects_out_of_range_bins(tmp_path):
     (("--config", "{config}", "snr", "--variant", "alg1", "--bins", "0"), "seed = 1.5\n",
      "run.cfg:1: seed: expected an integer, got '1.5'"),
     (("--out-dir", "{config}/sub", "complexity"), "", "Not a directory"),
-], ids=["grid-size-1", "replicates-1", "seed-negative", "noise-var-0", "noise-var-nan",
-        "noise-var-inf", "angles-0", "angles-negative", "bin-1024", "config-replicates-1",
-        "config-cost-model-bogus", "config-variant-key", "config-seed-float",
-        "out-dir-under-a-file"])
+], ids=["grid-size-1", "grid-size-16", "replicates-1", "seed-negative", "noise-var-0",
+        "noise-var-nan", "noise-var-inf", "angles-0", "angles-negative", "bin-1024",
+        "config-replicates-1", "config-cost-model-bogus", "config-variant-key",
+        "config-seed-float", "out-dir-under-a-file"])
 def test_bad_values_exit_2_with_one_line(tmp_path, capsys, argv, config_text, expect):
     config = tmp_path / "run.cfg"
     config.write_text(config_text)
@@ -125,7 +127,7 @@ def test_bad_values_exit_2_with_one_line(tmp_path, capsys, argv, config_text, ex
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert expect in err
-    assert not list(tmp_path.glob("*.csv"))
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
 def test_beams_emit_one_file_per_bin(tmp_path):

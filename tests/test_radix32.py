@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from adft1024.radix32 import (APPROX_VARIANTS, SIZE, TransformSpec, Variant,
                               VARIANTS, invvec, transform_1024,
                               transform_matrix, twiddle_matrix, vec)
-from adft1024.transforms import _COLUMN_CHUNK, adft32_matrix, dft_direct
+from adft1024.transforms import (_COLUMN_CHUNK, adft32_apply, adft32_matrix, dft_direct,
+                                 dft_matrix)
 
 from conftest import complex_vector
 
@@ -120,31 +121,62 @@ def test_matrix_equals_pipeline_on_identity(variant):
                           transform_1024(np.eye(SIZE), spec))
 
 
+def _three_array_transform(x, variant):
+    """The pipeline laid out as three full-size arrays: the row-kernel output,
+    twiddled in place, a transposed copy of it, and the column-kernel output."""
+    nbatch = x.shape[1]
+
+    def kernel(exact, block):
+        return dft_matrix(32) @ block if exact else adft32_apply(block)
+
+    p = kernel(variant.row_kernel_exact, x.reshape(32, 32 * nbatch)).reshape(32, 32, nbatch)
+    np.multiply(twiddle_matrix().entries[:, :, None], p, out=p)
+    cols = p.transpose(1, 0, 2).reshape(32, 32 * nbatch)
+    return kernel(variant.col_kernel_exact, cols).reshape(SIZE, nbatch)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_pipeline_equals_three_array_layout(variant, rng):
+    # B = _COLUMN_CHUNK + 4 makes the in-place passes slice the batch axis.
+    spec = TransformSpec(variant)
+    for nbatch in (1, 7, 300, 1000, _COLUMN_CHUNK + 4):
+        x = complex_vector(rng, SIZE * nbatch).reshape(SIZE, nbatch)
+        ref = _three_array_transform(x, variant)
+        assert np.array_equal(transform_1024(x, spec), ref)
+        if nbatch == 1:
+            assert np.array_equal(transform_1024(x[:, 0], spec), ref[:, 0])
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_batch_columns_at_pass_boundaries_equal_single_calls(variant, rng):
-    # Each kernel sees 32*B lanes ordered (i, b); a pass boundary falls
-    # between batch columns b-1 and b.  alg1 has no BLAS step and must match
-    # bit for bit; a gemm and a gemv may sum the exact kernel in another order.
-    nbatch = 300
+    # Each kernel works along axis 0 of a (32, 32, B) view, at most
+    # _COLUMN_CHUNK columns per pass.  Up to _COLUMN_CHUNK vectors, a pass
+    # takes whole slices j of the middle axis, all B vectors each, so no
+    # pass boundary falls between two vectors.  A wider batch is cut along
+    # its batch axis, between vectors b-1 and b at each multiple b of
+    # _COLUMN_CHUNK.  alg1 has no BLAS step and must match bit for bit; a
+    # gemm and a gemv may sum the exact kernel in another order.
     spec = TransformSpec(variant)
-    x = complex_vector(rng, SIZE * nbatch).reshape(SIZE, nbatch)
-    batch = transform_1024(x, spec)
-    edges = [e % nbatch for e in range(_COLUMN_CHUNK, 32 * nbatch, _COLUMN_CHUNK)]
-    assert edges
-    for b in sorted({c for e in edges for c in (e - 1, e)}):
-        single = transform_1024(x[:, b], spec)
-        if variant is Variant.ALG1:
-            np.testing.assert_array_equal(
-                np.ascontiguousarray(batch[:, b]).view(np.uint64),
-                single.view(np.uint64))
-        else:
-            np.testing.assert_allclose(batch[:, b], single, rtol=0,
-                                       atol=1e-12 * np.abs(single).max())
+    for nbatch in (300, _COLUMN_CHUNK + 4):
+        x = complex_vector(rng, SIZE * nbatch).reshape(SIZE, nbatch)
+        batch = transform_1024(x, spec)
+        edges = list(range(_COLUMN_CHUNK, nbatch, _COLUMN_CHUNK))
+        assert bool(edges) == (nbatch > _COLUMN_CHUNK)
+        for b in sorted({0, nbatch - 1} | {c for e in edges for c in (e - 1, e)}):
+            single = transform_1024(x[:, b], spec)
+            if variant is Variant.ALG1:
+                np.testing.assert_array_equal(
+                    np.ascontiguousarray(batch[:, b]).view(np.uint64),
+                    single.view(np.uint64))
+            else:
+                np.testing.assert_allclose(batch[:, b], single, rtol=0,
+                                           atol=1e-12 * np.abs(single).max())
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_pipeline_memory_is_bounded(variant, rng):
-    # Kernel outputs and one transposed copy; the twiddle works in place.
+    # The output is the only full-size buffer; each kernel pass adds
+    # temporaries of at most _COLUMN_CHUNK columns.
     x = complex_vector(rng, SIZE * 1000).reshape(SIZE, 1000)
     spec = TransformSpec(variant)
     tracemalloc.start()
@@ -153,7 +185,7 @@ def test_pipeline_memory_is_bounded(variant, rng):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3.5 * out.nbytes
+    assert peak < 2.0 * out.nbytes
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

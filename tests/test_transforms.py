@@ -31,6 +31,15 @@ def test_dft_matrix_rejects_zero():
         dft_matrix(0)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16, 32, 37, 64, 1000, 1024, 2048])
+def test_dft_matrix_equals_elementwise_formula(n):
+    # The matrix indexes its n distinct roots; each entry must keep the
+    # bits of the root taken for that entry alone.
+    k, m = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    expected = np.exp(-2j * np.pi * (k * m % n) / n) / math.sqrt(n)
+    assert np.array_equal(dft_matrix(n).view(np.uint64), expected.view(np.uint64))
+
+
 @pytest.mark.parametrize("n", [2, 4, 8, 16, 32])
 def test_dft_matrix_unitary(n):
     f = dft_matrix(n)
