@@ -6,9 +6,8 @@ from .factors import (FACTOR_LABELS, MultiplicationError, STAGE_ADDITIONS,
 from .transforms import (OUTPUT_SCALE, adft32_apply, adft32_matrix, best_fit_scale,
                          dft_direct, dft_matrix, factor_product, fft_radix2,
                          idft_direct)
-from .radix32 import (APPROX_VARIANTS, SIZE, TransformSpec, TwiddleMatrix,
-                      Variant, VARIANTS, invvec, transform_1024,
-                      transform_matrix, twiddle_matrix, vec)
+from .radix32 import (APPROX_VARIANTS, SIZE, TwiddleMatrix, Variant, VARIANTS,
+                      invvec, transform_1024, transform_matrix, twiddle_matrix, vec)
 from .complexity import (ADFT32_CIRCUIT, ADFT32_SEQUENTIAL, CircuitReport,
                          ComplexMultScheme, ComplexityReport, CostModel,
                          DFT32_CIRCUIT, DFT32_SEQUENTIAL, NONTRIVIAL_TWIDDLES,

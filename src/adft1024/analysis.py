@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .radix32 import (N, SIZE, TransformSpec, Variant, _kernel_matrices,
-                      transform_matrix, twiddle_matrix)
+from .radix32 import N, SIZE, Variant, _row_factors, transform_matrix
 
 DB_FLOOR = -60.0
 # Defaults of the analyses, shared with the CLI.
@@ -33,10 +32,14 @@ _FREQ_BLOCK = 512   # frequencies (or steering angles) per factored-response blo
 _REPLICATE_CHUNK = 512
 
 
-def grid_points(m: int) -> np.ndarray:
-    """m angular frequencies covering [-pi, pi), endpoint excluded."""
+def _check_grid_size(m: int) -> None:
     if m < 2:
         raise ValueError("a frequency grid needs at least two points")
+
+
+def grid_points(m: int) -> np.ndarray:
+    """m angular frequencies covering [-pi, pi), endpoint excluded."""
+    _check_grid_size(m)
     return -np.pi + 2 * np.pi * np.arange(m) / m
 
 
@@ -55,15 +58,17 @@ def _check_row_grid(m: int) -> None:
 def row_response(rows: np.ndarray, grid_size: int) -> np.ndarray:
     """H(w) = sum_n c_n e^{-jwn} on grid_points(grid_size) for a row (n,) or each of (r, n).
 
-    A grid at least as long as the rows is evaluated with a zero-padded FFT
-    (the half-turn phase ramp shifts the origin to -pi); a shorter one falls
-    back to a direct inner product.
+    One FFT of grid_size points: the half-turn phase ramp shifts the origin
+    to -pi, and a row longer than the grid is zero-padded to a multiple of
+    it and folded modulo grid_size (time aliasing), which leaves its
+    response on the grid unchanged.
     """
+    _check_grid_size(grid_size)
     rows = np.asarray(rows, dtype=complex)
     n = rows.shape[-1]
-    if grid_size >= n:
-        return np.fft.fft(rows * (-1.0) ** np.arange(n), n=grid_size, axis=-1)
-    return rows @ np.exp(-1j * np.outer(np.arange(n), grid_points(grid_size)))
+    folded = np.zeros(rows.shape[:-1] + (-(-n // grid_size), grid_size), dtype=complex)
+    folded.reshape(rows.shape[:-1] + (-1,))[..., :n] = rows * (-1.0) ** np.arange(n)
+    return np.fft.fft(folded.sum(axis=-2), axis=-1)
 
 
 def _checked_bins(bins) -> list[int]:
@@ -105,18 +110,6 @@ def _energy_db(value: float) -> float:
     return float(max(10 * np.log10(value), DB_FLOOR))
 
 
-def _row_factors(variant: Variant, bins) -> tuple[np.ndarray, np.ndarray]:
-    """The 32-tap factors of each bin's row, (32, bins) each: fine over i, coarse over c.
-
-    Row d*32+k, laid out over (c, i) with n = 32c + i, is the outer product
-    of Kr[k] over c and Kc[d] * tw[k] over i (the Kronecker form of
-    transform_matrix).
-    """
-    d, k = np.divmod(np.asarray(bins), N)
-    kr, kc = _kernel_matrices(variant)
-    return np.ascontiguousarray((kc[d] * twiddle_matrix().entries[k]).T), kr[k].T
-
-
 def _factored_response(fine: np.ndarray, coarse: np.ndarray, w: np.ndarray) -> np.ndarray:
     """H(w) = sum_n row[n] e^{-jwn} of rows given by their factors, (w, rows).
 
@@ -130,7 +123,7 @@ def _factored_response(fine: np.ndarray, coarse: np.ndarray, w: np.ndarray) -> n
     return h
 
 
-def filterbank_error(spec: TransformSpec, grid_size: int = GRID_SIZE) -> RowErrorStats:
+def filterbank_error(variant: Variant, grid_size: int = GRID_SIZE) -> RowErrorStats:
     """Frequency-response error of every row of a variant against the exact DFT.
 
     Responses come from each row's two 32-tap factors, _FREQ_BLOCK
@@ -142,7 +135,7 @@ def filterbank_error(spec: TransformSpec, grid_size: int = GRID_SIZE) -> RowErro
     _check_row_grid(grid_size)
     frequencies = grid_points(grid_size)
     blocks = [slice(start, start + _FREQ_BLOCK) for start in range(0, grid_size, _FREQ_BLOCK)]
-    exact, approx = (_row_factors(v, range(SIZE)) for v in (Variant.EXACT, spec.variant))
+    exact, approx = (_row_factors(v, range(SIZE)) for v in (Variant.EXACT, variant))
     # Bins 0..31 hold coarse factors k = 0..31 and bin d*32+k uses factor k,
     # so only those 32 columns are kept: each k's sums are formed once.
     exact, approx = ((fine, coarse[:, :N]) for fine, coarse in (exact, approx))
@@ -165,8 +158,8 @@ def filterbank_error(spec: TransformSpec, grid_size: int = GRID_SIZE) -> RowErro
         lower[block], upper[block] = err.min(axis=1), err.max(axis=1)
         curves[1:4, block] = np.percentile(err, [25, 50, 75], axis=1, overwrite_input=True)
 
-    exact_rows = transform_matrix(TransformSpec(Variant.EXACT))
-    approx_rows = transform_matrix(spec)
+    exact_rows = transform_matrix(Variant.EXACT)
+    approx_rows = transform_matrix(variant)
     energy = np.empty(SIZE)
     for start in range(0, SIZE, _ROW_CHUNK):
         chunk = slice(start, start + _ROW_CHUNK)
@@ -228,10 +221,10 @@ def _side_lobe_rows(mag: np.ndarray) -> np.ndarray:
     return 20 * np.log10(side / peak)
 
 
-def worst_side_lobe(spec: TransformSpec, grid_size: int = GRID_SIZE) -> SideLobeReport:
+def worst_side_lobe(variant: Variant, grid_size: int = GRID_SIZE) -> SideLobeReport:
     """Side-lobe levels of all rows of a variant; worst = largest (max dB)."""
     _check_row_grid(grid_size)
-    rows = transform_matrix(spec)
+    rows = transform_matrix(variant)
     per_row = np.empty(rows.shape[0])
     for start in range(0, rows.shape[0], _ROW_CHUNK):
         block = rows[start:start + _ROW_CHUNK]
@@ -267,7 +260,7 @@ def _noise_stream(seed: int, replicate: int, n: int, sigma2: float) -> np.ndarra
     return np.sqrt(sigma2 / 2.0) * raw.view(complex)
 
 
-def snr_monte_carlo(spec: TransformSpec, bins, replicates: int = REPLICATES,
+def snr_monte_carlo(variant: Variant, bins, replicates: int = REPLICATES,
                     noise_var: float = 1.0, seed: int = 0) -> SnrReport:
     """Monte-Carlo per-bin SNR for a variant, paired with the exact path.
 
@@ -287,8 +280,8 @@ def snr_monte_carlo(spec: TransformSpec, bins, replicates: int = REPLICATES,
         raise ValueError("seed must be non-negative")
 
     # Variant rows, then exact rows: each noise chunk feeds both in one matmul.
-    rows = np.concatenate([transform_matrix(spec)[bins],
-                           transform_matrix(TransformSpec(Variant.EXACT))[bins]])
+    rows = np.concatenate([transform_matrix(variant)[bins],
+                           transform_matrix(Variant.EXACT)[bins]])
     n = np.arange(SIZE)
     probes = np.exp(2j * np.pi * np.outer(bins, n) / SIZE)
     det = np.einsum("bn,bn->b", rows, np.concatenate([probes, probes]))
@@ -301,14 +294,15 @@ def snr_monte_carlo(spec: TransformSpec, bins, replicates: int = REPLICATES,
         noise = np.empty((count, SIZE), dtype=complex)
         for i in range(count):
             noise[i] = _noise_stream(seed, done + i, SIZE, noise_var)
-        outputs = noise @ rows.T + det
+        outputs = noise @ rows.T
         sums += outputs.sum(axis=0)
         sq += (outputs.real ** 2 + outputs.imag ** 2).sum(axis=0)
         done += count
 
-    mean = sums / replicates
-    var = (sq - replicates * np.abs(mean) ** 2) / (replicates - 1)
-    snr = 10 * np.log10(np.abs(mean) ** 2 / var)
+    # det stays out of the sums, where it would cancel the variance at high SNR.
+    noise_mean = sums / replicates
+    var = (sq - replicates * np.abs(noise_mean) ** 2) / (replicates - 1)
+    snr = 10 * np.log10(np.abs(det + noise_mean) ** 2 / var)
     snr_var, snr_ex = snr[:bins.size], snr[bins.size:]
     deg = snr_ex - snr_var
     return SnrReport(
@@ -349,7 +343,7 @@ def default_angles(count: int = ANGLES) -> np.ndarray:
     return np.linspace(-np.pi / 2, np.pi / 2, count)
 
 
-def beam_pattern(spec: TransformSpec, bins,
+def beam_pattern(variant: Variant, bins,
                  angles: np.ndarray | None = None) -> list[BeamPattern]:
     """Beam patterns of the requested bins, one per bin in the order given.
 
@@ -363,7 +357,7 @@ def beam_pattern(spec: TransformSpec, bins,
     angles = default_angles() if angles is None else np.asarray(angles, dtype=float)
     if angles.size == 0:
         raise ValueError("at least one steering angle is required")
-    fine, coarse = _row_factors(spec.variant, bins)
+    fine, coarse = _row_factors(variant, bins)
     fine_ex, coarse_ex = _row_factors(Variant.EXACT, bins)
     peaks = np.abs(fine_ex).sum(axis=0) * np.abs(coarse_ex).sum(axis=0)
     # _FREQ_BLOCK angles at a time keeps memory flat in the angle count.

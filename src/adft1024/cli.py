@@ -3,7 +3,7 @@
 Every command writes deterministic artifacts for a given set of flags (and
 seed, where randomness is involved), so outputs are directly comparable in
 CI or across machines.  Exit codes: 0 success, 1 a verification check
-failed, 2 usage or I/O error (one ``error: ...`` line on stderr).
+failed, 2 a usage, I/O or allocation error (one ``error:`` line on stderr).
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ import numpy as np
 
 from . import analysis, complexity, reports
 from .factors import FACTOR_LABELS, STAGE_ADDITIONS, SparseFactor, all_factors, build_w
-from .radix32 import (APPROX_VARIANTS, SIZE, TransformSpec, Variant, VARIANTS,
-                      invvec, transform_1024, transform_matrix, twiddle_matrix, vec)
+from .radix32 import (APPROX_VARIANTS, SIZE, Variant, VARIANTS, invvec, transform_1024,
+                      transform_matrix, twiddle_matrix, vec)
 from .transforms import OUTPUT_SCALE, dft_direct, dft_matrix, factor_product, fft_radix2
 
 ENV_OUT_DIR = "ADFT1024_OUT_DIR"
@@ -149,7 +149,7 @@ def cmd_gen_matrix(args, cfg: RunConfig) -> int:
             reports.write_sparse_factor_csv(out / f"{label}.csv", factor)
         print(f"wrote {len(FACTOR_LABELS)} factor files to {out}")
         return 0
-    matrix = transform_matrix(TransformSpec(variant))
+    matrix = transform_matrix(variant)
     path = out / f"dense_{variant.value}.csv"
     reports.write_dense_matrix_csv(path, matrix)
     print(f"wrote {path}")
@@ -169,7 +169,7 @@ def _verify_oracle(rng):
     yield ("fft1024-vs-direct", rel < 1e-9, f"rel err {rel:.2e}")
     worst = 0.0
     batch = rng.standard_normal((SIZE, 5)) + 1j * rng.standard_normal((SIZE, 5))
-    got = transform_1024(batch, TransformSpec(Variant.EXACT))
+    got = transform_1024(batch, Variant.EXACT)
     ref = dft_direct(batch)
     worst = (np.linalg.norm(got - ref, axis=0) / np.linalg.norm(ref, axis=0)).max()
     yield ("exact-pipeline-vs-direct", worst < 1e-9, f"worst rel err {worst:.2e}")
@@ -279,7 +279,7 @@ def cmd_complexity(args, cfg: RunConfig) -> int:
 def cmd_filterbank(args, cfg: RunConfig) -> int:
     out = Path(cfg.out_dir)
     variant = Variant(args.variant)
-    stats = analysis.filterbank_error(TransformSpec(variant), cfg.grid_size)
+    stats = analysis.filterbank_error(variant, cfg.grid_size)
     reports.write_table_csv(
         out / f"filterbank_{variant.value}.csv",
         ("frequency", "lower", "q1", "q2", "q3", "upper"),
@@ -300,9 +300,8 @@ def cmd_snr(args, cfg: RunConfig) -> int:
     out = Path(cfg.out_dir)
     variant = Variant(args.variant)
     bins = args.bins if args.bins is not None else list(range(0, SIZE, SIZE // 64))
-    report = analysis.snr_monte_carlo(
-        TransformSpec(variant), bins, replicates=cfg.replicates,
-        noise_var=args.noise_var, seed=cfg.seed)
+    report = analysis.snr_monte_carlo(variant, bins, replicates=cfg.replicates,
+                                      noise_var=args.noise_var, seed=cfg.seed)
     reports.write_table_csv(
         out / f"snr_{variant.value}.csv",
         ("bin", "snr_exact_db", "snr_variant_db", "degradation_db"),
@@ -317,8 +316,7 @@ def cmd_beams(args, cfg: RunConfig) -> int:
     out = Path(cfg.out_dir)
     variant = Variant(args.variant)
     bins = list(dict.fromkeys(args.bins))  # one file per bin, first-seen order
-    patterns = analysis.beam_pattern(TransformSpec(variant), bins,
-                                     analysis.default_angles(args.angles))
+    patterns = analysis.beam_pattern(variant, bins, analysis.default_angles(args.angles))
     for pattern in patterns:
         reports.write_table_csv(
             out / f"beam_{variant.value}_{pattern.bin_index}.csv",
@@ -334,7 +332,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args, _resolve_config(args))
-    except (OSError, ValueError) as exc:
+    except (MemoryError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

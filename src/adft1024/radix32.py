@@ -51,11 +51,8 @@ VARIANTS = (Variant.EXACT, Variant.ALG1, Variant.ALG2, Variant.ALG3)
 APPROX_VARIANTS = (Variant.ALG1, Variant.ALG2, Variant.ALG3)
 
 
-@dataclass(frozen=True)
-class TransformSpec:
-    """Selector consumed by every analysis: a variant at block length 1024."""
-
-    variant: Variant
+# Kept for callers that still write TransformSpec(v): Variant(v) is v itself.
+TransformSpec = Variant
 
 
 @dataclass(frozen=True)
@@ -108,11 +105,9 @@ def _passes(m: int, nbatch: int) -> list[tuple[slice, slice]]:
     A pass holds at most _COLUMN_CHUNK columns: whole m-slices while a batch
     fits, else one m-slice and a run of the batch axis.
     """
-    if nbatch > _COLUMN_CHUNK:
-        return [(slice(j, j + 1), slice(b, b + _COLUMN_CHUNK))
-                for j in range(m) for b in range(0, nbatch, _COLUMN_CHUNK)]
-    step = _COLUMN_CHUNK // max(nbatch, 1)
-    return [(slice(j, j + step), slice(None)) for j in range(0, m, step)]
+    step = max(_COLUMN_CHUNK // max(nbatch, 1), 1)
+    return [(slice(j, j + step), slice(b, b + _COLUMN_CHUNK))
+            for j in range(0, m, step) for b in range(0, nbatch, _COLUMN_CHUNK)]
 
 
 def _kernel(exact: bool, src: np.ndarray, dst: np.ndarray) -> None:
@@ -129,7 +124,7 @@ def _kernel(exact: bool, src: np.ndarray, dst: np.ndarray) -> None:
                         else adft32_apply(cols)).reshape(block.shape)
 
 
-def transform_1024(x: np.ndarray, spec: TransformSpec) -> np.ndarray:
+def transform_1024(x: np.ndarray, variant: Variant) -> np.ndarray:
     """Evaluate the selected 1024-point transform on x ((1024,) or (1024, B)).
 
     The exact variant equals dft_direct to 1e-9 relative.  The output is the
@@ -144,7 +139,7 @@ def transform_1024(x: np.ndarray, spec: TransformSpec) -> np.ndarray:
 
     y = np.empty((N, N, nbatch), dtype=complex)
     # Rows: [c, i, b] = x[c*N+i, b] in, row i's bin k out to y[i, k, b].
-    _kernel(spec.variant.row_kernel_exact, xb.reshape(N, N, nbatch), y.transpose(1, 0, 2))
+    _kernel(variant.row_kernel_exact, xb.reshape(N, N, nbatch), y.transpose(1, 0, 2))
 
     # Twiddle in place: y[i, k, b] *= tw[k, i], which is tw[i, k] (the grid is
     # symmetric).  numpy's complex product is not symmetric in its operands,
@@ -152,7 +147,7 @@ def transform_1024(x: np.ndarray, spec: TransformSpec) -> np.ndarray:
     np.multiply(twiddle_matrix().entries[:, :, None], y, out=y)
 
     # Columns in place: y[i, k, b] -> y[d, k, b], so bin d*N + k is y[d, k].
-    _kernel(spec.variant.col_kernel_exact, y, y)
+    _kernel(variant.col_kernel_exact, y, y)
 
     out = y.reshape(SIZE, nbatch)
     return out if batched else out[:, 0]
@@ -171,7 +166,7 @@ def _kernel_matrices(variant: Variant, col_scale: float | None = None
 
 
 @lru_cache(maxsize=len(VARIANTS))
-def transform_matrix(spec: TransformSpec) -> np.ndarray:
+def transform_matrix(variant: Variant) -> np.ndarray:
     """Dense 1024x1024 matrix of the selected transform (column c is the
     transform of the c-th unit impulse).  Cached and read-only.
 
@@ -180,9 +175,9 @@ def transform_matrix(spec: TransformSpec) -> np.ndarray:
     pipeline, one product per entry and no sums, evaluated in the pipeline's
     order so each value is what transform_1024 returns for a unit impulse.
     """
-    kr, kc = _kernel_matrices(spec.variant, col_scale=1.0)
+    kr, kc = _kernel_matrices(variant, col_scale=1.0)
     rows = twiddle_matrix().entries[:, None, :] * kr[:, :, None]   # [k, c, i]
-    if spec.variant.col_kernel_exact:
+    if variant.col_kernel_exact:
         # K=1 batched matmul over i, rounding each product as BLAS does in
         # the pipeline's column matmul.
         prod = np.matmul(kc.T[:, :, None],
@@ -194,3 +189,15 @@ def transform_matrix(spec: TransformSpec) -> np.ndarray:
         out = (kc[:, None, None, :] * rows[None]).reshape(SIZE, SIZE)
         out *= OUTPUT_SCALE
     return _readonly(out)
+
+
+def _row_factors(variant: Variant, bins) -> tuple[np.ndarray, np.ndarray]:
+    """The 32-tap factors of each bin's row, (32, bins) each: fine over i, coarse over c.
+
+    Row d*32+k, laid out over (c, i) with n = 32c + i, is the outer product
+    of Kr[k] over c and Kc[d] * tw[k] over i (the Kronecker form of
+    transform_matrix).
+    """
+    d, k = np.divmod(np.asarray(bins), N)
+    kr, kc = _kernel_matrices(variant)
+    return np.ascontiguousarray((kc[d] * twiddle_matrix().entries[k]).T), kr[k].T

@@ -20,8 +20,7 @@ from adft1024.analysis import filterbank_error, snr_monte_carlo, worst_side_lobe
 from adft1024.complexity import (ComplexMultScheme, CostModel, circuit_complexity,
                                  count_instrumented_adft32, count_sequential,
                                  adft32_addition_profile)
-from adft1024.radix32 import (SIZE, TransformSpec, Variant, invvec,
-                              transform_1024, twiddle_matrix, vec)
+from adft1024.radix32 import SIZE, Variant, invvec, transform_1024, twiddle_matrix, vec
 from adft1024.transforms import adft32_apply, adft32_matrix, dft_direct
 
 from conftest import side_lobe_walk
@@ -71,7 +70,7 @@ def report(criterion, ok, detail):
 def test_criterion_01_exact_path_oracle(rng):
     start = time.perf_counter()
     x = rng.standard_normal((SIZE, 100)) + 1j * rng.standard_normal((SIZE, 100))
-    got = transform_1024(x, TransformSpec(Variant.EXACT))
+    got = transform_1024(x, Variant.EXACT)
     ref = dft_direct(x)
     rel = (np.linalg.norm(got - ref, axis=0) / np.linalg.norm(ref, axis=0)).max()
     elapsed = time.perf_counter() - start
@@ -129,7 +128,7 @@ def test_criterion_05_error_statistics_table():
     got = {}
     ok = True
     for variant, want in table.items():
-        stats = filterbank_error(TransformSpec(variant), 8192)
+        stats = filterbank_error(variant, 8192)
         got[variant] = (stats.min_db, stats.mean_db, stats.max_db)
         ok = ok and all(abs(g - w) <= 0.5 for g, w in zip(got[variant], want))
     elapsed = time.perf_counter() - start
@@ -141,7 +140,7 @@ def test_criterion_05_error_statistics_table():
 
 
 def test_criterion_06a_dirichlet_calibration():
-    rep = worst_side_lobe(TransformSpec(Variant.EXACT), 32768)
+    rep = worst_side_lobe(Variant.EXACT, 32768)
     ok = abs(rep.worst_db - (-13.26)) <= 0.05
     assert report("6a", ok, f"exact-DFT side lobe {rep.worst_db:.3f} dB vs -13.26 +-0.05")
 
@@ -169,7 +168,7 @@ def test_criterion_06b_variant_side_lobe_targets():
     ok = True
     details = []
     for variant, quoted in published.items():
-        rep = worst_side_lobe(TransformSpec(variant), m)
+        rep = worst_side_lobe(variant, m)
         rows = _composed_matrix(variant)
         walks = [side_lobe_walk(mag)
                  for start in range(0, SIZE, 128)
@@ -198,7 +197,7 @@ def test_criterion_06b_variant_side_lobe_targets():
 @pytest.fixture(scope="module")
 def snr_reports():
     t0 = time.perf_counter()
-    reps = {v: snr_monte_carlo(TransformSpec(v), SAMPLED_BINS, replicates=10_000,
+    reps = {v: snr_monte_carlo(v, SAMPLED_BINS, replicates=10_000,
                                noise_var=1.0, seed=SEED)
             for v in (Variant.ALG1, Variant.ALG2, Variant.ALG3)}
     return reps, time.perf_counter() - t0
@@ -277,10 +276,10 @@ def test_criterion_08_property_suite(rng):
     x, y = (rng.standard_normal(SIZE) + 1j * rng.standard_normal(SIZE) for _ in range(2))
     a, b = 0.8 - 0.1j, -0.6 + 0.5j
     lin = max(
-        np.linalg.norm(transform_1024(a * x + b * y, TransformSpec(v))
-                       - a * transform_1024(x, TransformSpec(v))
-                       - b * transform_1024(y, TransformSpec(v)))
-        / np.linalg.norm(transform_1024(y, TransformSpec(v)))
+        np.linalg.norm(transform_1024(a * x + b * y, v)
+                       - a * transform_1024(x, v)
+                       - b * transform_1024(y, v))
+        / np.linalg.norm(transform_1024(y, v))
         for v in lib.VARIANTS)
     checks["linearity"] = lin < 1e-10
     checks["vec-invvec"] = bool(np.array_equal(vec(invvec(x)), x))

@@ -10,14 +10,17 @@ import pytest
 from adft1024.analysis import (DB_FLOOR, GRID_SIZE, beam_pattern, default_angles,
                                filterbank_error, grid_points, row_response,
                                snr_monte_carlo, worst_side_lobe)
-from adft1024.radix32 import SIZE, TransformSpec, Variant, transform_matrix
+from adft1024.radix32 import SIZE, Variant, transform_matrix
 
 from conftest import complex_vector, side_lobe_walk
 
-EXACT = TransformSpec(Variant.EXACT)
-ALG1 = TransformSpec(Variant.ALG1)
-ALG2 = TransformSpec(Variant.ALG2)
-ALG3 = TransformSpec(Variant.ALG3)
+EXACT, ALG1, ALG2, ALG3 = Variant.EXACT, Variant.ALG1, Variant.ALG2, Variant.ALG3
+
+
+def _over_variants(*variants):
+    """Parametrize "variant" over variants, with the ids spec0, spec1, ... by position."""
+    return pytest.mark.parametrize("variant", variants,
+                                   ids=[f"spec{i}" for i in range(len(variants))])
 
 
 def test_default_grid_shape():
@@ -30,6 +33,9 @@ def test_default_grid_shape():
 def test_grid_needs_two_points():
     with pytest.raises(ValueError, match="at least two points"):
         grid_points(1)
+    for n in (1, 3):   # a single-point grid is refused whether it folds the row or not
+        with pytest.raises(ValueError, match="at least two points"):
+            row_response(np.ones(n), 1)
 
 
 def test_impulse_row_has_flat_response():
@@ -56,15 +62,18 @@ def test_real_row_has_conjugate_symmetric_response(rng):
 def test_fft_and_direct_response_paths_agree(rng):
     row = complex_vector(rng, 32)
     stack = np.stack([row, complex_vector(rng, 32), complex_vector(rng, 32)])
-    # 128 points take the zero-padded FFT; 16 < 32 taps take the direct product.
-    for m, stack_atol in ((128, 0.0), (16, 1e-12)):
+    # 128 points zero-pad the row; 16 < 32 taps fold it modulo the grid.
+    for m in (128, 16):
         direct = row @ np.exp(-1j * np.outer(np.arange(32), grid_points(m)))
         np.testing.assert_allclose(row_response(row, m), direct, atol=1e-12)
-        # A stack gives the per-row bits on the FFT path.  The direct path is
-        # one BLAS product, and a matrix-matrix product rounds otherwise than
-        # the matrix-vector product of a single row.
+        # A stack gives the per-row bits on every grid.
         per_row = np.stack([row_response(r, m) for r in stack])
-        np.testing.assert_allclose(row_response(stack, m), per_row, rtol=0, atol=stack_atol)
+        np.testing.assert_array_equal(row_response(stack, m), per_row)
+    # A 1024-tap row on a 1000-point grid folds 24 taps onto the first ones.
+    long_row = complex_vector(rng, SIZE)
+    direct = long_row @ np.exp(-1j * np.outer(np.arange(SIZE), grid_points(1000)))
+    np.testing.assert_allclose(row_response(long_row, 1000), direct, rtol=0,
+                               atol=1e-9 * np.abs(direct).max())
 
 
 def test_filterbank_exact_sits_at_floor():
@@ -74,9 +83,9 @@ def test_filterbank_exact_sits_at_floor():
     assert np.all(stats.lower_envelope == DB_FLOOR)
 
 
-@pytest.mark.parametrize("spec", [ALG1, ALG2, ALG3])
-def test_filterbank_quartiles_ordered_pointwise(spec):
-    stats = filterbank_error(spec)
+@_over_variants(ALG1, ALG2, ALG3)
+def test_filterbank_quartiles_ordered_pointwise(variant):
+    stats = filterbank_error(variant)
     assert np.all(stats.lower_envelope <= stats.q1 + 1e-12)
     assert np.all(stats.q1 <= stats.q2 + 1e-12)
     assert np.all(stats.q2 <= stats.q3 + 1e-12)
@@ -92,7 +101,7 @@ def test_filterbank_row_statistics_reproduce_reference_table():
         Variant.ALG3: ((-10.7, -9.9, -9.0), 128),
     }
     for variant, ((lo, mid, hi), zero_rows) in expected.items():
-        stats = filterbank_error(TransformSpec(variant))
+        stats = filterbank_error(variant)
         assert stats.min_db == pytest.approx(lo, abs=0.5)
         assert stats.mean_db == pytest.approx(mid, abs=0.5)
         assert stats.max_db == pytest.approx(hi, abs=0.5)
@@ -142,7 +151,7 @@ def test_sidelobe_variant_regression_values():
     # frozen outputs of the first-minima / own-peak-normalized definition
     expected = {Variant.ALG1: -11.158, Variant.ALG2: -11.919, Variant.ALG3: -11.158}
     for variant, value in expected.items():
-        report = worst_side_lobe(TransformSpec(variant), 8192)
+        report = worst_side_lobe(variant, 8192)
         assert report.worst_db == pytest.approx(value, abs=0.05)
         assert report.worst_db == report.per_row_db.max()
         assert report.per_row_db[report.worst_row] == report.worst_db
@@ -161,6 +170,17 @@ def test_snr_reproducible_bit_for_bit():
     assert np.array_equal(a.snr_exact_db, b.snr_exact_db)
     c = snr_monte_carlo(ALG2, [3, 99], replicates=500, seed=43)
     assert not np.array_equal(a.snr_variant_db, c.snr_variant_db)
+
+
+def test_snr_degradation_holds_at_high_snr():
+    # The variance is taken from the noise part, so a probe far above the
+    # noise does not cancel it: the estimate stays put and finite.
+    def degradation(noise_var):
+        return snr_monte_carlo(ALG1, [5, 600], replicates=2000, noise_var=noise_var,
+                               seed=3).degradation_db
+    reference = degradation(1e-6)
+    np.testing.assert_allclose(degradation(1e-12), reference, rtol=0, atol=1e-3)
+    assert np.all(np.isfinite(degradation(1e-16)))
 
 
 def test_snr_estimates_converge_with_replicates():
@@ -185,7 +205,7 @@ def test_mean_degradation_over_all_bins_matches_reference_column():
     probes = np.sqrt(SIZE) * np.conj(transform_matrix(EXACT))
     expected = {Variant.ALG1: 0.6, Variant.ALG2: 0.3, Variant.ALG3: 0.3}
     for variant, mean_deg in expected.items():
-        m = transform_matrix(TransformSpec(variant))
+        m = transform_matrix(variant)
         det = np.abs(np.einsum("kn,kn->k", m, probes)) ** 2
         norms = np.real(np.einsum("kn,kn->k", m, m.conj()))
         degs = 10 * np.log10(SIZE) - 10 * np.log10(det / norms)
@@ -271,7 +291,7 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
-def _unchunked_filterbank(spec, m):
+def _unchunked_filterbank(variant, m):
     """The whole-matrix formula: every row's response held at once.
 
     Each response is one length-m FFT of the row times (-1)^n, folded
@@ -282,7 +302,7 @@ def _unchunked_filterbank(spec, m):
         folded[:, :SIZE] = rows * (-1.0) ** np.arange(SIZE)
         return np.fft.fft(folded.reshape(SIZE, -1, m).sum(axis=1), axis=1)
 
-    exact, approx = transform_matrix(EXACT), transform_matrix(spec)
+    exact, approx = transform_matrix(EXACT), transform_matrix(variant)
     h_exact = responses(exact)
     h_err = responses(approx) - h_exact
     with np.errstate(divide="ignore"):
@@ -299,10 +319,9 @@ def test_filterbank_chunked_rows_equal_unchunked_formula(variant):
     # 1024 divides none of these grids, and 37 is shorter than a row.  (A
     # divisor such as 16 lands on exact nulls of most exact rows, so their
     # grid peaks, and both sides' curves, would be rounding noise.)
-    spec = TransformSpec(variant)
     for m in (2048, 1000, 37):
-        stats = filterbank_error(spec, m)
-        *oracle_curves, oracle_energy = _unchunked_filterbank(spec, m)
+        stats = filterbank_error(variant, m)
+        *oracle_curves, oracle_energy = _unchunked_filterbank(variant, m)
         curves = (stats.lower_envelope, stats.q1, stats.q2, stats.q3, stats.upper_envelope)
         for got, expected in zip(curves, oracle_curves):
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9)
@@ -324,33 +343,33 @@ def test_filterbank_memory_is_flat_in_grid_size():
 
 
 @pytest.mark.parametrize("count", [1, 1000, 4096])
-@pytest.mark.parametrize("spec", [EXACT, ALG1, ALG3, ALG2])
-def test_beam_chunked_angles_equal_full_steering(spec, count):
+@_over_variants(EXACT, ALG1, ALG3, ALG2)
+def test_beam_chunked_angles_equal_full_steering(variant, count):
     angles = default_angles(count)
     steering = np.exp(1j * np.pi * np.outer(np.arange(SIZE), np.sin(angles)))
     exact = transform_matrix(EXACT)
     # One bin, then several: unsorted and with a repeat.
     for bins in ((100,), (1023, 3, 100, 3)):
-        patterns = beam_pattern(spec, bins, angles)
+        patterns = beam_pattern(variant, bins, angles)
         assert [p.bin_index for p in patterns] == list(bins)
         for k, pattern in zip(bins, patterns):
             # Gains are relative to the exact beam's main-lobe peak, sum |row|.
             peak = np.abs(exact[k]).sum()
-            expected = transform_matrix(spec)[k] @ steering
+            expected = transform_matrix(variant)[k] @ steering
             np.testing.assert_allclose(pattern.gain, expected / peak, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("spec", [EXACT, ALG1])
-def test_beam_gain_does_not_depend_on_the_other_angles(spec):
+@_over_variants(EXACT, ALG1)
+def test_beam_gain_does_not_depend_on_the_other_angles(variant):
     # -pi/2 is an exact null of every exact beam but bin 512's.  The fixed
     # angles are requested alone, then among 33 and among 4096 angles.
     fixed = np.array([-np.pi / 2, -0.3, 0.0, 0.7])
     bins = (3, 100, 512, 1023)
-    alone = np.array([[p.gain[0] for p in beam_pattern(spec, bins, [theta])]
+    alone = np.array([[p.gain[0] for p in beam_pattern(variant, bins, [theta])]
                       for theta in fixed]).T   # (bins, fixed)
     for others in (default_angles(29), default_angles(4092)):
         angles = np.concatenate([others[:7], fixed, others[7:]])
-        patterns = beam_pattern(spec, bins, angles)
+        patterns = beam_pattern(variant, bins, angles)
         among = np.array([p.gain[7:7 + fixed.size] for p in patterns])
         np.testing.assert_allclose(among, alone, rtol=0, atol=1e-12)
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from adft1024 import analysis
 from adft1024.cli import ENV_OUT_DIR, main
 from adft1024.factors import build_w
 from adft1024.radix32 import SIZE
@@ -128,6 +129,18 @@ def test_bad_values_exit_2_with_one_line(tmp_path, capsys, argv, config_text, ex
     assert "Traceback" not in err
     assert expect in err
     assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
+def test_allocation_failure_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    # Stands in for a grid too large to allocate, without allocating it.
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+    monkeypatch.setattr(analysis, "filterbank_error", refuse)
+    assert run("--out-dir", str(tmp_path), "filterbank", "--variant", "alg1",
+               "--grid-size", "100000000000") == 2
+    err = capsys.readouterr().err
+    assert err == "error: Unable to allocate 745. GiB for an array\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_beams_emit_one_file_per_bin(tmp_path):

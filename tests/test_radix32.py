@@ -71,7 +71,7 @@ def test_twiddle_first_nontrivial_value():
 
 def test_exact_pipeline_matches_direct_dft(rng):
     x = complex_vector(rng, SIZE * 10).reshape(SIZE, 10)
-    got = transform_1024(x, TransformSpec(Variant.EXACT))
+    got = transform_1024(x, Variant.EXACT)
     ref = dft_direct(x)
     rel = np.linalg.norm(got - ref, axis=0) / np.linalg.norm(ref, axis=0)
     assert rel.max() < 1e-9
@@ -79,35 +79,32 @@ def test_exact_pipeline_matches_direct_dft(rng):
 
 def test_transform_rejects_wrong_length():
     with pytest.raises(ValueError):
-        transform_1024(np.zeros(512, dtype=complex), TransformSpec(Variant.EXACT))
+        transform_1024(np.zeros(512, dtype=complex), Variant.EXACT)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_every_variant_is_linear(variant, rng):
-    spec = TransformSpec(variant)
     x, y = complex_vector(rng, SIZE), complex_vector(rng, SIZE)
     a, b = 1.1 - 0.3j, -0.4 + 0.9j
-    lhs = transform_1024(a * x + b * y, spec)
-    rhs = a * transform_1024(x, spec) + b * transform_1024(y, spec)
+    lhs = transform_1024(a * x + b * y, variant)
+    rhs = a * transform_1024(x, variant) + b * transform_1024(y, variant)
     assert np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs) < 1e-10
 
 
 def test_alg1_impulse_extracts_matrix_column():
     x = np.zeros(SIZE, dtype=complex)
     x[0] = 1.0
-    spec = TransformSpec(Variant.ALG1)
-    np.testing.assert_allclose(transform_1024(x, spec),
-                               transform_matrix(spec)[:, 0], atol=1e-12)
+    np.testing.assert_allclose(transform_1024(x, Variant.ALG1),
+                               transform_matrix(Variant.ALG1)[:, 0], atol=1e-12)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_pipeline_matches_dense_matrix(variant, rng):
     # The matrix is built in closed form, not through transform_1024, so
     # this compares two independent computations of the same operator.
-    spec = TransformSpec(variant)
     x = complex_vector(rng, SIZE * 7).reshape(SIZE, 7)
-    got = transform_1024(x, spec)
-    ref = transform_matrix(spec) @ x
+    got = transform_1024(x, variant)
+    ref = transform_matrix(variant) @ x
     rel = np.linalg.norm(got - ref, axis=0) / np.linalg.norm(ref, axis=0)
     assert rel.max() <= 1e-13
 
@@ -116,9 +113,8 @@ def test_pipeline_matches_dense_matrix(variant, rng):
 def test_matrix_equals_pipeline_on_identity(variant):
     # The pipeline applied to every unit impulse is the matrix, value for
     # value (array_equal treats +0 and -0 as equal).
-    spec = TransformSpec(variant)
-    assert np.array_equal(transform_matrix(spec),
-                          transform_1024(np.eye(SIZE), spec))
+    assert np.array_equal(transform_matrix(variant),
+                          transform_1024(np.eye(SIZE), variant))
 
 
 def _three_array_transform(x, variant):
@@ -138,13 +134,12 @@ def _three_array_transform(x, variant):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_pipeline_equals_three_array_layout(variant, rng):
     # B = _COLUMN_CHUNK + 4 makes the in-place passes slice the batch axis.
-    spec = TransformSpec(variant)
     for nbatch in (1, 7, 300, 1000, _COLUMN_CHUNK + 4):
         x = complex_vector(rng, SIZE * nbatch).reshape(SIZE, nbatch)
         ref = _three_array_transform(x, variant)
-        assert np.array_equal(transform_1024(x, spec), ref)
+        assert np.array_equal(transform_1024(x, variant), ref)
         if nbatch == 1:
-            assert np.array_equal(transform_1024(x[:, 0], spec), ref[:, 0])
+            assert np.array_equal(transform_1024(x[:, 0], variant), ref[:, 0])
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -156,14 +151,13 @@ def test_batch_columns_at_pass_boundaries_equal_single_calls(variant, rng):
     # its batch axis, between vectors b-1 and b at each multiple b of
     # _COLUMN_CHUNK.  alg1 has no BLAS step and must match bit for bit; a
     # gemm and a gemv may sum the exact kernel in another order.
-    spec = TransformSpec(variant)
     for nbatch in (300, _COLUMN_CHUNK + 4):
         x = complex_vector(rng, SIZE * nbatch).reshape(SIZE, nbatch)
-        batch = transform_1024(x, spec)
+        batch = transform_1024(x, variant)
         edges = list(range(_COLUMN_CHUNK, nbatch, _COLUMN_CHUNK))
         assert bool(edges) == (nbatch > _COLUMN_CHUNK)
         for b in sorted({0, nbatch - 1} | {c for e in edges for c in (e - 1, e)}):
-            single = transform_1024(x[:, b], spec)
+            single = transform_1024(x[:, b], variant)
             if variant is Variant.ALG1:
                 np.testing.assert_array_equal(
                     np.ascontiguousarray(batch[:, b]).view(np.uint64),
@@ -178,10 +172,9 @@ def test_pipeline_memory_is_bounded(variant, rng):
     # The output is the only full-size buffer; each kernel pass adds
     # temporaries of at most _COLUMN_CHUNK columns.
     x = complex_vector(rng, SIZE * 1000).reshape(SIZE, 1000)
-    spec = TransformSpec(variant)
     tracemalloc.start()
     try:
-        out = transform_1024(x, spec)
+        out = transform_1024(x, variant)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -193,7 +186,7 @@ def test_cold_matrix_build_memory_is_bounded(variant):
     # A cold build holds little beyond its 16 MiB output.
     tracemalloc.start()
     try:
-        transform_matrix.__wrapped__(TransformSpec(variant))
+        transform_matrix.__wrapped__(variant)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -201,13 +194,13 @@ def test_cold_matrix_build_memory_is_bounded(variant):
 
 
 def test_exact_matrix_is_unitary():
-    m = transform_matrix(TransformSpec(Variant.EXACT))
+    m = transform_matrix(Variant.EXACT)
     gram = m @ m.conj().T
     assert np.abs(gram - np.eye(SIZE)).max() < 1e-9
 
 
 def test_alg1_matrix_is_invertible():
-    m = transform_matrix(TransformSpec(Variant.ALG1))
+    m = transform_matrix(Variant.ALG1)
     singular = np.linalg.svd(m, compute_uv=False)
     assert singular.min() > 1e-3
     assert np.isfinite(singular.max() / singular.min())
@@ -217,24 +210,28 @@ def test_alg2_alg3_matrices_are_transposes():
     # holds because the shared 32-point kernels are symmetric matrices
     kernel = adft32_matrix(scale=1.0)
     np.testing.assert_array_equal(kernel, kernel.T)
-    m2 = transform_matrix(TransformSpec(Variant.ALG2))
-    m3 = transform_matrix(TransformSpec(Variant.ALG3))
+    m2 = transform_matrix(Variant.ALG2)
+    m3 = transform_matrix(Variant.ALG3)
     np.testing.assert_allclose(m3, m2.T, atol=1e-12)
 
 
 @pytest.mark.parametrize("variant", APPROX_VARIANTS)
 def test_energy_ratio_bounded(variant, rng):
-    spec = TransformSpec(variant)
     x = complex_vector(rng, SIZE * 50).reshape(SIZE, 50)
-    ratios = (np.linalg.norm(transform_1024(x, spec), axis=0)
+    ratios = (np.linalg.norm(transform_1024(x, variant), axis=0)
               / np.linalg.norm(x, axis=0))
     assert ratios.min() > 0.5
     assert ratios.max() < 2.0
 
 
 def test_transform_matrix_is_cached_and_readonly():
-    spec = TransformSpec(Variant.ALG2)
-    m1 = transform_matrix(spec)
-    m2 = transform_matrix(spec)
+    m1 = transform_matrix(Variant.ALG2)
+    m2 = transform_matrix(Variant.ALG2)
     assert m1 is m2
     assert not m1.flags.writeable
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_transform_spec_is_an_alias_of_variant(variant):
+    assert TransformSpec(variant) is variant
+    assert transform_matrix(TransformSpec(variant)) is transform_matrix(variant)
