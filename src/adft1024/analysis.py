@@ -9,8 +9,9 @@ linear array across the same rows.  Each row of the radix-32 pipeline is
 the outer product of a column-kernel row and a row-kernel row, so its
 response at any frequency is the product of two 32-tap sums.  The filter
 bank and the beams are computed that way, a block of frequencies at a
-time: neither builds a rows x grid array, and beams never build the dense
-matrix.
+time, so neither builds a rows x grid array.  Dense rows come from the
+factors too (radix32._rows): no analysis builds transform_matrix, which
+serves only the dense export, perfbench's dense check and the tests.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .radix32 import N, SIZE, Variant, _row_factors, transform_matrix
+from .radix32 import N, SIZE, Variant, _row_factors, _rows
+from .radix32 import transform_matrix  # noqa: F401 - unused; perfbench wraps it by name
 
 DB_FLOOR = -60.0
 # Defaults of the analyses, shared with the CLI.
@@ -27,8 +29,9 @@ GRID_SIZE = 8192
 REPLICATES = 10_000
 ANGLES = 4096
 _ZERO_ENERGY = 1e-20
-_ROW_CHUNK = 128
 _FREQ_BLOCK = 512   # frequencies (or steering angles) per factored-response block
+_ROW_BLOCKS = np.arange(SIZE).reshape(N, N)   # bins d*32 .. d*32+31, one d per block
+_WORST_ROW_TOL_DB = 1e-9   # side lobes this close to the worst tie with it
 _REPLICATE_CHUNK = 512
 
 
@@ -130,7 +133,7 @@ def filterbank_error(variant: Variant, grid_size: int = GRID_SIZE) -> RowErrorSt
     frequencies at a time.  A first pass takes each exact row's peak over
     the grid; a second forms the floored dB error of each (frequencies x
     rows) block and reduces it across rows, so no rows x grid array is
-    built.  Row error energies are taken on the dense rows.
+    built.  Row error energies come from dense rows rebuilt 32 at a time.
     """
     _check_row_grid(grid_size)
     frequencies = grid_points(grid_size)
@@ -158,13 +161,10 @@ def filterbank_error(variant: Variant, grid_size: int = GRID_SIZE) -> RowErrorSt
         lower[block], upper[block] = err.min(axis=1), err.max(axis=1)
         curves[1:4, block] = np.percentile(err, [25, 50, 75], axis=1, overwrite_input=True)
 
-    exact_rows = transform_matrix(Variant.EXACT)
-    approx_rows = transform_matrix(variant)
     energy = np.empty(SIZE)
-    for start in range(0, SIZE, _ROW_CHUNK):
-        chunk = slice(start, start + _ROW_CHUNK)
-        diff = approx_rows[chunk] - exact_rows[chunk]
-        energy[chunk] = np.real(np.einsum("ij,ij->i", diff, diff.conj()))
+    for block in _ROW_BLOCKS:
+        diff = _rows(variant, block) - _rows(Variant.EXACT, block)
+        energy[block] = np.real(np.einsum("ij,ij->i", diff, diff.conj()))
     nonzero = energy[energy > _ZERO_ENERGY]
     return RowErrorStats(
         frequencies=frequencies,
@@ -222,19 +222,18 @@ def _side_lobe_rows(mag: np.ndarray) -> np.ndarray:
 
 
 def worst_side_lobe(variant: Variant, grid_size: int = GRID_SIZE) -> SideLobeReport:
-    """Side-lobe levels of all rows of a variant; worst = largest (max dB)."""
+    """Side-lobe levels of all rows of a variant; worst = largest (max dB).
+
+    worst_row is the lowest-index row within _WORST_ROW_TOL_DB of it.
+    """
     _check_row_grid(grid_size)
-    rows = transform_matrix(variant)
-    per_row = np.empty(rows.shape[0])
-    for start in range(0, rows.shape[0], _ROW_CHUNK):
-        block = rows[start:start + _ROW_CHUNK]
-        per_row[start:start + block.shape[0]] = _side_lobe_rows(
-            np.abs(row_response(block, grid_size)))
-    worst = int(np.argmax(per_row))
+    mags = (np.abs(row_response(_rows(variant, block), grid_size)) for block in _ROW_BLOCKS)
+    per_row = np.concatenate([_side_lobe_rows(mag) for mag in mags])
+    worst_db = per_row.max()
     return SideLobeReport(
         per_row_db=per_row,
-        worst_db=float(per_row[worst]),
-        worst_row=worst,
+        worst_db=float(worst_db),
+        worst_row=int(np.argmax(per_row >= worst_db - _WORST_ROW_TOL_DB)),
     )
 
 
@@ -280,8 +279,7 @@ def snr_monte_carlo(variant: Variant, bins, replicates: int = REPLICATES,
         raise ValueError("seed must be non-negative")
 
     # Variant rows, then exact rows: each noise chunk feeds both in one matmul.
-    rows = np.concatenate([transform_matrix(variant)[bins],
-                           transform_matrix(Variant.EXACT)[bins]])
+    rows = np.concatenate([_rows(variant, bins), _rows(Variant.EXACT, bins)])
     n = np.arange(SIZE)
     probes = np.exp(2j * np.pi * np.outer(bins, n) / SIZE)
     det = np.einsum("bn,bn->b", rows, np.concatenate([probes, probes]))

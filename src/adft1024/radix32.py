@@ -168,7 +168,9 @@ def _kernel_matrices(variant: Variant, col_scale: float | None = None
 @lru_cache(maxsize=len(VARIANTS))
 def transform_matrix(variant: Variant) -> np.ndarray:
     """Dense 1024x1024 matrix of the selected transform (column c is the
-    transform of the c-th unit impulse).  Cached and read-only.
+    transform of the c-th unit impulse).  Cached and read-only.  Its users are
+    the dense export, perfbench's dense check and the tests; the analyses
+    take rows from _row_factors and _rows instead.
 
     Closed form of the pipeline: entry (d*N+k, c*N+i) = Kc[d,i] tw[k,i] Kr[k,c].
     This is the Kronecker factorization (Kc x I) T (I x Kr) P of the
@@ -201,3 +203,9 @@ def _row_factors(variant: Variant, bins) -> tuple[np.ndarray, np.ndarray]:
     d, k = np.divmod(np.asarray(bins), N)
     kr, kc = _kernel_matrices(variant)
     return np.ascontiguousarray((kc[d] * twiddle_matrix().entries[k]).T), kr[k].T
+
+
+def _rows(variant: Variant, bins) -> np.ndarray:
+    """Dense rows (bins, 1024) built from their factors: entry 32c+i = coarse[c] fine[i]."""
+    fine, coarse = _row_factors(variant, bins)
+    return (coarse.T[:, :, None] * fine.T[:, None, :]).reshape(-1, SIZE)

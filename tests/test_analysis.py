@@ -7,9 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from adft1024.analysis import (DB_FLOOR, GRID_SIZE, beam_pattern, default_angles,
-                               filterbank_error, grid_points, row_response,
-                               snr_monte_carlo, worst_side_lobe)
+from adft1024.analysis import (_ZERO_ENERGY, DB_FLOOR, GRID_SIZE, beam_pattern,
+                               default_angles, filterbank_error, grid_points,
+                               row_response, snr_monte_carlo, worst_side_lobe)
 from adft1024.radix32 import SIZE, Variant, transform_matrix
 
 from conftest import complex_vector, side_lobe_walk
@@ -150,11 +150,17 @@ def test_sidelobe_exact_rows_all_alike():
 def test_sidelobe_variant_regression_values():
     # frozen outputs of the first-minima / own-peak-normalized definition
     expected = {Variant.ALG1: -11.158, Variant.ALG2: -11.919, Variant.ALG3: -11.158}
+    worst_rows = []
     for variant, value in expected.items():
         report = worst_side_lobe(variant, 8192)
         assert report.worst_db == pytest.approx(value, abs=0.05)
         assert report.worst_db == report.per_row_db.max()
-        assert report.per_row_db[report.worst_row] == report.worst_db
+        # Rows tied with the worst up to rounding: the lowest index is reported.
+        tied = report.per_row_db >= report.worst_db - 1e-9
+        assert tied[report.worst_row]
+        assert not tied[:report.worst_row].any()
+        worst_rows.append(report.worst_row)
+    assert worst_rows == [64, 2, 64]
 
 
 def test_snr_exact_gain_matches_block_length():
@@ -325,19 +331,23 @@ def test_filterbank_chunked_rows_equal_unchunked_formula(variant):
         curves = (stats.lower_envelope, stats.q1, stats.q2, stats.q3, stats.upper_envelope)
         for got, expected in zip(curves, oracle_curves):
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9)
-        assert np.array_equal(stats.row_error_energy, oracle_energy)
+        # Rows are rebuilt from their factors: equal to the oracle up to
+        # rounding, and the exactly reproduced rows are the same rows.
+        zero = stats.row_error_energy <= _ZERO_ENERGY
+        assert np.array_equal(zero, oracle_energy <= _ZERO_ENERGY)
+        assert zero.sum() == {ALG1: 16, ALG2: 128, ALG3: 128}[variant]
+        np.testing.assert_allclose(stats.row_error_energy[~zero], oracle_energy[~zero],
+                                   rtol=0, atol=1e-15)
 
 
 def test_filterbank_memory_is_bounded_by_its_db_matrix():
     m = 2048
-    transform_matrix(EXACT), transform_matrix(ALG1)   # measure the analysis only
     peak = _traced_peak(lambda: filterbank_error(ALG1, m))
     assert peak < 2.5 * SIZE * m * 8
 
 
 def test_filterbank_memory_is_flat_in_grid_size():
     # A rows x grid dB matrix at the default grid alone is 64 MiB.
-    transform_matrix(EXACT), transform_matrix(ALG1)   # measure the analysis only
     peak = _traced_peak(lambda: filterbank_error(ALG1, GRID_SIZE))
     assert peak < 48 * 2 ** 20
 
@@ -374,15 +384,20 @@ def test_beam_gain_does_not_depend_on_the_other_angles(variant):
         np.testing.assert_allclose(among, alone, rtol=0, atol=1e-12)
 
 
-def test_beam_pattern_builds_no_dense_matrix():
+@pytest.mark.parametrize("run", [
+    lambda: filterbank_error(ALG1, 1000),
+    lambda: worst_side_lobe(ALG1, 1000),
+    lambda: snr_monte_carlo(ALG1, [3, 100], replicates=50),
+    lambda: beam_pattern(ALG1, [3, 100], default_angles(64)),
+], ids=["filterbank_error", "worst_side_lobe", "snr_monte_carlo", "beam_pattern"])
+def test_analysis_builds_no_dense_matrix(run):
     transform_matrix.cache_clear()
-    beam_pattern(ALG1, [3, 100], default_angles(64))
+    run()
     assert transform_matrix.cache_info().currsize == 0
 
 
 def test_beam_memory_is_bounded():
     # The full 1024 x 4096 steering matrix alone is 64 MiB.
-    transform_matrix(EXACT), transform_matrix(ALG1)
     bins = range(100, 116)
     peak = _traced_peak(lambda: beam_pattern(ALG1, bins, default_angles(4096)))
     assert peak < 32 * 2 ** 20

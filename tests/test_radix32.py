@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adft1024.radix32 import (APPROX_VARIANTS, SIZE, TransformSpec, Variant,
-                              VARIANTS, invvec, transform_1024,
+                              VARIANTS, _rows, invvec, transform_1024,
                               transform_matrix, twiddle_matrix, vec)
 from adft1024.transforms import (_COLUMN_CHUNK, adft32_apply, adft32_matrix, dft_direct,
                                  dft_matrix)
@@ -115,6 +115,14 @@ def test_matrix_equals_pipeline_on_identity(variant):
     # value (array_equal treats +0 and -0 as equal).
     assert np.array_equal(transform_matrix(variant),
                           transform_1024(np.eye(SIZE), variant))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_rows_from_factors_match_dense_matrix(variant):
+    # The factored rows round their products in another order than the
+    # closed form, so they agree up to rounding.
+    np.testing.assert_allclose(_rows(variant, range(SIZE)), transform_matrix(variant),
+                               rtol=0, atol=1e-15)
 
 
 def _three_array_transform(x, variant):
