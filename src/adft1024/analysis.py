@@ -259,6 +259,7 @@ def _noise_stream(seed: int, replicate: int, n: int, sigma2: float) -> np.ndarra
     return np.sqrt(sigma2 / 2.0) * raw.view(complex)
 
 
+@np.errstate(all="ignore")   # a non-finite estimate is refused below instead
 def snr_monte_carlo(variant: Variant, bins, replicates: int = REPLICATES,
                     noise_var: float = 1.0, seed: int = 0) -> SnrReport:
     """Monte-Carlo per-bin SNR for a variant, paired with the exact path.
@@ -301,6 +302,9 @@ def snr_monte_carlo(variant: Variant, bins, replicates: int = REPLICATES,
     noise_mean = sums / replicates
     var = (sq - replicates * np.abs(noise_mean) ** 2) / (replicates - 1)
     snr = 10 * np.log10(np.abs(det + noise_mean) ** 2 / var)
+    if not np.isfinite(snr).all():
+        raise ValueError(f"noise variance {noise_var} puts the SNR estimate "
+                         "outside the float range")
     snr_var, snr_ex = snr[:bins.size], snr[bins.size:]
     deg = snr_ex - snr_var
     return SnrReport(

@@ -129,8 +129,8 @@ def _parse_table(label: str, text: str, size: int) -> SparseFactor:
     return SparseFactor(label=label, size=size, entries=tuple(entries))
 
 
-def identity_block(n: int, label: str = "I") -> SparseFactor:
-    return SparseFactor(label, n, tuple((i, i, 1 + 0j) for i in range(n)))
+def identity_block(n: int) -> SparseFactor:
+    return SparseFactor("I", n, tuple((i, i, 1 + 0j) for i in range(n)))
 
 
 def build_b(t: int) -> SparseFactor:

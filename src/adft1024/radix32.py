@@ -23,8 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .transforms import (_COLUMN_CHUNK, OUTPUT_SCALE, _readonly, adft32_apply,
-                         adft32_matrix, dft_matrix)
+from .transforms import (_COLUMN_CHUNK, OUTPUT_SCALE, _adft32_product, _readonly,
+                         adft32_apply, adft32_matrix, dft_matrix)
 
 N = 32
 SIZE = N * N
@@ -153,15 +153,13 @@ def transform_1024(x: np.ndarray, variant: Variant) -> np.ndarray:
     return out if batched else out[:, 0]
 
 
-def _kernel_matrices(variant: Variant, col_scale: float | None = None
-                     ) -> tuple[np.ndarray, np.ndarray]:
+def _kernel_matrices(variant: Variant) -> tuple[np.ndarray, np.ndarray]:
     """(Kr, Kc): the 32-point matrices in the row and column positions.
 
-    An approximate column kernel carries col_scale (adft32_matrix's
-    convention); the approximate row kernel always carries OUTPUT_SCALE.
+    Each is dft_matrix(32) or the scaled approximate kernel adft32_matrix().
     """
     kr = dft_matrix(N) if variant.row_kernel_exact else adft32_matrix()
-    kc = dft_matrix(N) if variant.col_kernel_exact else adft32_matrix(col_scale)
+    kc = dft_matrix(N) if variant.col_kernel_exact else adft32_matrix()
     return kr, kc
 
 
@@ -177,7 +175,7 @@ def transform_matrix(variant: Variant) -> np.ndarray:
     pipeline, one product per entry and no sums, evaluated in the pipeline's
     order so each value is what transform_1024 returns for a unit impulse.
     """
-    kr, kc = _kernel_matrices(variant, col_scale=1.0)
+    kr, kc = _kernel_matrices(variant)
     rows = twiddle_matrix().entries[:, None, :] * kr[:, :, None]   # [k, c, i]
     if variant.col_kernel_exact:
         # K=1 batched matmul over i, rounding each product as BLAS does in
@@ -188,7 +186,7 @@ def transform_matrix(variant: Variant) -> np.ndarray:
     else:
         # The adds-only chain is exact on a single nonzero input, so the raw
         # kernel entry times the input, scaled afterwards, is its output.
-        out = (kc[:, None, None, :] * rows[None]).reshape(SIZE, SIZE)
+        out = (_adft32_product()[:, None, None, :] * rows[None]).reshape(SIZE, SIZE)
         out *= OUTPUT_SCALE
     return _readonly(out)
 

@@ -72,16 +72,15 @@ def write_dense_matrix_csv(path: Path, matrix: np.ndarray) -> None:
     A transform matrix holds a few thousand distinct floats among its
     millions, so each distinct float is formatted once: a memo keyed on
     the value's bits (which keeps -0.0 apart from 0.0) is emptied whenever
-    it would pass _MEMO_SIZE texts.  A row whose values are mostly new is
-    formatted directly.
+    it would pass _MEMO_SIZE texts.  Every row goes through the memo, so a
+    row of new values costs one memo entry per distinct float.
     """
     matrix = np.ascontiguousarray(matrix, dtype=complex)
     nrows, ncols = matrix.shape
     # Joining with str(r) puts the row number before every cell, so the row
     # and column numbers are literals of the format and only the floats, re
     # and im interleaved as in the complex row, go through %.
-    direct = ["", *(f",{c},{FLOAT_FMT},{FLOAT_FMT}\n" for c in range(ncols))]
-    memoized = ["", *(f",{c},%s,%s\n" for c in range(ncols))]
+    cells = ["", *(f",{c},%s,%s\n" for c in range(ncols))]
     memo: dict[int, str] = {}
 
     def lines():
@@ -91,16 +90,13 @@ def write_dense_matrix_csv(path: Path, matrix: np.ndarray) -> None:
             keys, inverse = np.unique(values.view(np.uint64), return_inverse=True)
             keys = keys.tolist()
             missing = [k for k in keys if k not in memo]
-            if len(missing) > ncols:
-                yield str(r).join(direct) % tuple(values.tolist())
-                continue
             if len(memo) + len(missing) > _MEMO_SIZE:
                 memo.clear()
                 missing = keys
             floats = np.array(missing, dtype=np.uint64).view(float).tolist()
             memo.update(zip(missing, [FLOAT_FMT % v for v in floats]))
             texts = np.array([memo[k] for k in keys], dtype=object)[inverse]
-            yield str(r).join(memoized) % tuple(texts.tolist())
+            yield str(r).join(cells) % tuple(texts.tolist())
 
     _atomic_write_text(path, lines())
 

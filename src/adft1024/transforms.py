@@ -113,31 +113,26 @@ def _adft32_product() -> np.ndarray:
     return _readonly(factor_product(all_factors()))
 
 
-def adft32_matrix(scale: float | None = None) -> np.ndarray:
-    """Dense 32-point kernel: scale * (W7 @ ... @ W0).
+@lru_cache(maxsize=1)
+def adft32_matrix() -> np.ndarray:
+    """Dense 32-point kernel OUTPUT_SCALE * (W7 @ ... @ W0); cached and read-only.
 
-    scale=None applies the package convention OUTPUT_SCALE; scale=1.0 gives
-    the raw integer-valued product.
+    The raw Gaussian-integer product is factor_product(all_factors()).
     """
-    s = OUTPUT_SCALE if scale is None else scale
-    if s == 1.0:
-        return _adft32_product()
-    return _readonly(s * _adft32_product())
+    return _readonly(OUTPUT_SCALE * _adft32_product())
 
 
-def adft32_apply(x: np.ndarray, scale: float | None = None) -> np.ndarray:
-    """Apply the 32-point kernel to x ((32,) or (32, B)).
+def adft32_apply(x: np.ndarray) -> np.ndarray:
+    """Apply the 32-point kernel, OUTPUT_SCALE included, to x ((32,) or (32, B)).
 
     Runs the counted adds-only row chains (SparseFactor.apply_scalars) on
     contiguous re/im row lanes, _COLUMN_CHUNK columns per pass.  The output
     scale is one scalar multiply of each pass's output slice while it is
-    still in cache (skip it with scale=1.0 to stay on the pure integer
-    path).
+    still in cache.
     """
     x = np.asarray(x, dtype=complex)
     if x.shape[0] != 32:
         raise ValueError("kernel input must have leading dimension 32")
-    s = OUTPUT_SCALE if scale is None else scale
     y = np.empty(x.shape, dtype=complex)
     cols_in = x.reshape(32, x.size // 32)
     cols_out = y.reshape(cols_in.shape)
@@ -149,8 +144,7 @@ def adft32_apply(x: np.ndarray, scale: float | None = None) -> np.ndarray:
             re, im = f.apply_scalars(re, im)
         cols_out.real[:, cols] = re
         cols_out.imag[:, cols] = im
-        if s != 1.0:
-            cols_out[:, cols] *= s
+        cols_out[:, cols] *= OUTPUT_SCALE
     return y
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,16 @@ def rng():
 
 def complex_vector(rng, n):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def traced_peak(fn):
+    """(fn(), the peak bytes tracemalloc saw while fn ran)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def side_lobe_walk(mag):

@@ -21,7 +21,7 @@ from adft1024.complexity import (ComplexMultScheme, CostModel, circuit_complexit
                                  count_instrumented_adft32, count_sequential,
                                  adft32_addition_profile)
 from adft1024.radix32 import SIZE, Variant, invvec, transform_1024, twiddle_matrix, vec
-from adft1024.transforms import adft32_apply, adft32_matrix, dft_direct
+from adft1024.transforms import OUTPUT_SCALE, adft32_apply, dft_direct, factor_product
 
 from conftest import side_lobe_walk
 
@@ -286,12 +286,12 @@ def test_criterion_08_property_suite(rng):
     tw = twiddle_matrix()
     checks["twiddle-63/961"] = (int(tw.trivial_mask.sum()) == 63
                                 and tw.nontrivial_count == 961)
-    raw = adft32_matrix(scale=1.0)
+    raw = factor_product(lib.all_factors())
     checks["gaussian-integer"] = bool(np.all(raw.real == np.rint(raw.real))
                                       and np.all(raw.imag == np.rint(raw.imag)))
     checks["stage-sizes-32"] = all(f.size == 32 for f in lib.all_factors())
-    kernel_cols = adft32_apply(np.eye(32, dtype=complex), scale=1.0)
-    checks["fold-vs-columns"] = bool(np.array_equal(raw, kernel_cols))
+    kernel_cols = adft32_apply(np.eye(32, dtype=complex))
+    checks["fold-vs-columns"] = bool(np.array_equal(OUTPUT_SCALE * raw, kernel_cols))
     elapsed = time.perf_counter() - start
     ok = all(checks.values()) and elapsed < 60
     assert report(8, ok, f"{checks}; {elapsed:.1f} s")

@@ -2,7 +2,7 @@
 
 import math
 import re
-import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ from adft1024.analysis import (_ZERO_ENERGY, DB_FLOOR, GRID_SIZE, beam_pattern,
                                row_response, snr_monte_carlo, worst_side_lobe)
 from adft1024.radix32 import SIZE, Variant, transform_matrix
 
-from conftest import complex_vector, side_lobe_walk
+from conftest import complex_vector, side_lobe_walk, traced_peak
 
 EXACT, ALG1, ALG2, ALG3 = Variant.EXACT, Variant.ALG1, Variant.ALG2, Variant.ALG3
 
@@ -228,6 +228,15 @@ def test_snr_input_validation():
         snr_monte_carlo(ALG1, [5], replicates=100, noise_var=0.0)
 
 
+@pytest.mark.parametrize("noise_var", [1e308, 1e-320])
+def test_snr_refuses_an_estimate_outside_the_float_range(noise_var):
+    # Squares of the outputs overflow at 1e308 and underflow at 1e-320.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"noise variance {noise_var}")):
+            snr_monte_carlo(ALG1, [0, 5], replicates=50, noise_var=noise_var)
+
+
 def test_beam_zero_points_broadside():
     # An odd angle count puts one angle at broadside, bin 0's main-lobe peak.
     pattern = beam_pattern(EXACT, [0], default_angles(4095))[0]
@@ -288,15 +297,6 @@ def test_default_angles_cover_half_circle():
     assert angles[-1] == pytest.approx(np.pi / 2)
 
 
-def _traced_peak(fn):
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def _unchunked_filterbank(variant, m):
     """The whole-matrix formula: every row's response held at once.
 
@@ -342,13 +342,13 @@ def test_filterbank_chunked_rows_equal_unchunked_formula(variant):
 
 def test_filterbank_memory_is_bounded_by_its_db_matrix():
     m = 2048
-    peak = _traced_peak(lambda: filterbank_error(ALG1, m))
+    _, peak = traced_peak(lambda: filterbank_error(ALG1, m))
     assert peak < 2.5 * SIZE * m * 8
 
 
 def test_filterbank_memory_is_flat_in_grid_size():
     # A rows x grid dB matrix at the default grid alone is 64 MiB.
-    peak = _traced_peak(lambda: filterbank_error(ALG1, GRID_SIZE))
+    _, peak = traced_peak(lambda: filterbank_error(ALG1, GRID_SIZE))
     assert peak < 48 * 2 ** 20
 
 
@@ -399,5 +399,5 @@ def test_analysis_builds_no_dense_matrix(run):
 def test_beam_memory_is_bounded():
     # The full 1024 x 4096 steering matrix alone is 64 MiB.
     bins = range(100, 116)
-    peak = _traced_peak(lambda: beam_pattern(ALG1, bins, default_angles(4096)))
+    _, peak = traced_peak(lambda: beam_pattern(ALG1, bins, default_angles(4096)))
     assert peak < 32 * 2 ** 20

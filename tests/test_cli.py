@@ -103,6 +103,10 @@ def test_snr_rejects_out_of_range_bins(tmp_path):
     (("snr", "--variant", "alg1", "--replicates", "100", "--noise-var", "0"), "", ""),
     (("snr", "--variant", "alg1", "--replicates", "100", "--noise-var", "nan"), "", ""),
     (("snr", "--variant", "alg1", "--replicates", "100", "--noise-var", "inf"), "", ""),
+    (("snr", "--variant", "alg1", "--replicates", "50", "--bins", "0,5",
+      "--noise-var", "1e308"), "", "noise variance 1e+308"),
+    (("snr", "--variant", "alg1", "--replicates", "50", "--bins", "0,5",
+      "--noise-var", "1e-320"), "", "noise variance 1e-320"),
     (("beams", "--variant", "alg1", "--bins", "3", "--angles", "0"), "", ""),
     (("beams", "--variant", "alg1", "--bins", "3", "--angles", "-1"), "", "angle count"),
     (("beams", "--variant", "alg1", "--bins", "3,1024"), "", "bins must lie in 0..1023"),
@@ -116,9 +120,9 @@ def test_snr_rejects_out_of_range_bins(tmp_path):
      "run.cfg:1: seed: expected an integer, got '1.5'"),
     (("--out-dir", "{config}/sub", "complexity"), "", "Not a directory"),
 ], ids=["grid-size-1", "grid-size-16", "replicates-1", "seed-negative", "noise-var-0",
-        "noise-var-nan", "noise-var-inf", "angles-0", "angles-negative", "bin-1024",
-        "config-replicates-1", "config-cost-model-bogus", "config-variant-key",
-        "config-seed-float", "out-dir-under-a-file"])
+        "noise-var-nan", "noise-var-inf", "noise-var-1e308", "noise-var-1e-320", "angles-0",
+        "angles-negative", "bin-1024", "config-replicates-1", "config-cost-model-bogus",
+        "config-variant-key", "config-seed-float", "out-dir-under-a-file"])
 def test_bad_values_exit_2_with_one_line(tmp_path, capsys, argv, config_text, expect):
     config = tmp_path / "run.cfg"
     config.write_text(config_text)

@@ -1,7 +1,5 @@
 """Reshaping, twiddles, and the four 1024-point transform pipelines."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,10 +8,11 @@ from hypothesis import strategies as st
 from adft1024.radix32 import (APPROX_VARIANTS, SIZE, TransformSpec, Variant,
                               VARIANTS, _rows, invvec, transform_1024,
                               transform_matrix, twiddle_matrix, vec)
-from adft1024.transforms import (_COLUMN_CHUNK, adft32_apply, adft32_matrix, dft_direct,
-                                 dft_matrix)
+from adft1024.factors import all_factors
+from adft1024.transforms import (_COLUMN_CHUNK, adft32_apply, dft_direct, dft_matrix,
+                                 factor_product)
 
-from conftest import complex_vector
+from conftest import complex_vector, traced_peak
 
 
 def test_invvec_2x2_pattern():
@@ -180,24 +179,14 @@ def test_pipeline_memory_is_bounded(variant, rng):
     # The output is the only full-size buffer; each kernel pass adds
     # temporaries of at most _COLUMN_CHUNK columns.
     x = complex_vector(rng, SIZE * 1000).reshape(SIZE, 1000)
-    tracemalloc.start()
-    try:
-        out = transform_1024(x, variant)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out, peak = traced_peak(lambda: transform_1024(x, variant))
     assert peak < 2.0 * out.nbytes
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_cold_matrix_build_memory_is_bounded(variant):
     # A cold build holds little beyond its 16 MiB output.
-    tracemalloc.start()
-    try:
-        transform_matrix.__wrapped__(variant)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: transform_matrix.__wrapped__(variant))
     assert peak < 2.5 * SIZE * SIZE * 16
 
 
@@ -216,7 +205,7 @@ def test_alg1_matrix_is_invertible():
 
 def test_alg2_alg3_matrices_are_transposes():
     # holds because the shared 32-point kernels are symmetric matrices
-    kernel = adft32_matrix(scale=1.0)
+    kernel = factor_product(all_factors())
     np.testing.assert_array_equal(kernel, kernel.T)
     m2 = transform_matrix(Variant.ALG2)
     m3 = transform_matrix(Variant.ALG3)

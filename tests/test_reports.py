@@ -3,7 +3,6 @@
 import math
 import os
 import stat
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -17,6 +16,8 @@ from adft1024.factors import build_w
 from adft1024.reports import (FLOAT_FMT, _table_text, read_json, read_matrix_csv, read_table_csv,
                               write_dense_matrix_csv, write_json,
                               write_sparse_factor_csv, write_table_csv)
+
+from conftest import traced_peak
 
 
 def test_sparse_factor_round_trip(tmp_path):
@@ -100,12 +101,7 @@ def test_dense_matrix_stream_matches_joined_rendering(tmp_path):
 
 def test_dense_matrix_write_memory_is_bounded(tmp_path, rng):
     m = rng.standard_normal((1024, 1024)) + 1j * rng.standard_normal((1024, 1024))
-    tracemalloc.start()
-    try:
-        write_dense_matrix_csv(tmp_path / "dense.csv", m)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: write_dense_matrix_csv(tmp_path / "dense.csv", m))
     assert peak < 4 * 2 ** 20
 
 
@@ -113,12 +109,7 @@ def test_dense_matrix_read_memory_is_bounded(tmp_path, rng):
     m = rng.standard_normal((1024, 1024)) + 1j * rng.standard_normal((1024, 1024))
     path = tmp_path / "dense.csv"
     write_dense_matrix_csv(path, m)
-    tracemalloc.start()
-    try:
-        back = read_matrix_csv(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    back, peak = traced_peak(lambda: read_matrix_csv(path))
     assert np.array_equal(back, m)
     assert peak < 4 * back.nbytes
 
@@ -183,8 +174,8 @@ def test_table_text_equals_per_value_formatting(columns):
     assert _table_text(header, zip(*(c.tolist() for c in columns))) == expected
 
 
-# A small pool gives rows of repeated values (the memo path); st.floats()
-# gives rows of mostly new values (the direct path).
+# A small pool gives rows of repeated values, which the memo already holds;
+# st.floats() gives rows of mostly new values, which fill it.
 DENSE_FLOATS = st.one_of(
     st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e-300, -1e-300, 1 / 3]),
     st.floats())

@@ -1,7 +1,6 @@
 """Exact transform oracles and the 32-point kernel contracts."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from adft1024.transforms import (_COLUMN_CHUNK, OUTPUT_SCALE, adft32_apply,
                                  dft_matrix, factor_product, fft_radix2,
                                  idft_direct)
 
-from conftest import complex_vector
+from conftest import complex_vector, traced_peak
 
 
 def test_dft_matrix_n1():
@@ -128,14 +127,36 @@ def test_factorization_shape_and_scale():
     assert sum(f.real_addition_count() for f in factors) == 348
 
 
+def _raw_chain(x):
+    """The unscaled adds-only chain: SparseFactor.apply_scalars on re/im row lanes."""
+    re, im = list(x.real), list(x.imag)
+    for f in all_factors():
+        re, im = f.apply_scalars(re, im)
+    y = np.empty(x.shape, dtype=complex)
+    y.real, y.imag = re, im
+    return y
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
 def test_product_identical_under_two_evaluation_orders():
     left_fold = factor_product(all_factors())
-    by_columns = adft32_apply(np.eye(32, dtype=complex), scale=1.0)
-    np.testing.assert_array_equal(left_fold, by_columns)
+    by_columns = adft32_apply(np.eye(32, dtype=complex))
+    # Exact equality; the chain and the dense fold may give zeros opposite signs.
+    np.testing.assert_array_equal(by_columns, OUTPUT_SCALE * left_fold)
+
+
+def test_kernel_matrix_is_one_cached_readonly_scaled_product():
+    m = adft32_matrix()
+    assert m is adft32_matrix()
+    assert not m.flags.writeable
+    np.testing.assert_array_equal(_bits(m), _bits(OUTPUT_SCALE * factor_product(all_factors())))
 
 
 def test_raw_product_is_gaussian_integer():
-    m = adft32_matrix(scale=1.0)
+    m = factor_product(all_factors())
     assert np.all(m.real == np.rint(m.real))
     assert np.all(m.imag == np.rint(m.imag))
 
@@ -146,11 +167,11 @@ def test_raw_product_rounds_the_unnormalized_kernel():
     k, m = np.meshgrid(np.arange(32), np.arange(32), indexing="ij")
     unnormalized = np.exp(-2j * np.pi * k * m / 32)
     rounded = np.round(unnormalized.real) + 1j * np.round(unnormalized.imag)
-    np.testing.assert_array_equal(adft32_matrix(scale=1.0), rounded)
+    np.testing.assert_array_equal(factor_product(all_factors()), rounded)
 
 
 def test_kernel_is_symmetric():
-    m = adft32_matrix(scale=1.0)
+    m = factor_product(all_factors())
     np.testing.assert_array_equal(m, m.T)
 
 
@@ -167,13 +188,9 @@ def test_apply_matches_dense_kernel(rng, columns):
 def test_apply_is_exact_on_gaussian_integers(entries):
     parts = np.array(entries, dtype=float).reshape(2, 32, -1)
     x = parts[0] + 1j * parts[1]
-    y = adft32_apply(x, scale=1.0)
-    np.testing.assert_array_equal(y, adft32_matrix(1.0) @ x)
+    y = _raw_chain(x)
+    np.testing.assert_array_equal(y, factor_product(all_factors()) @ x)
     assert np.all(y.real == np.rint(y.real)) and np.all(y.imag == np.rint(y.imag))
-
-
-def _bits(a):
-    return np.ascontiguousarray(a).view(np.uint64)
 
 
 @pytest.mark.parametrize("a, b", [
@@ -193,17 +210,12 @@ def test_per_pass_scale_equals_whole_array_scale(rng):
     columns = 2 * _COLUMN_CHUNK + 7
     x = complex_vector(rng, 32 * columns).reshape(32, columns)
     np.testing.assert_array_equal(_bits(adft32_apply(x)),
-                                  _bits(OUTPUT_SCALE * adft32_apply(x, scale=1.0)))
+                                  _bits(OUTPUT_SCALE * _raw_chain(x)))
 
 
 def test_apply_peak_memory_stays_near_output_size():
     x = np.ones((32, 32768), dtype=complex)
-    tracemalloc.start()
-    try:
-        y = adft32_apply(x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    y, peak = traced_peak(lambda: adft32_apply(x))
     assert peak < 1.5 * y.nbytes
 
 
@@ -253,7 +265,7 @@ def test_best_fit_scale_rejects_zero_matrix():
 
 
 def test_best_fit_scale_of_raw_kernel_matches_lstsq_oracle():
-    raw = adft32_matrix(scale=1.0)
+    raw = factor_product(all_factors())
     f32 = np.asarray(dft_matrix(32))
     got = best_fit_scale(raw, f32)
     # independent oracle: real least squares on the stacked re/im system
