@@ -23,8 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .transforms import (_COLUMN_CHUNK, OUTPUT_SCALE, _adft32_product, _readonly,
-                         adft32_apply, adft32_matrix, dft_matrix)
+from .transforms import _COLUMN_CHUNK, _readonly, adft32_apply, adft32_matrix, dft_matrix
 
 N = 32
 SIZE = N * N
@@ -131,8 +130,8 @@ def transform_1024(x: np.ndarray, variant: Variant) -> np.ndarray:
     only full-size buffer (see the module docstring).
     """
     x = np.asarray(x, dtype=complex)
-    if x.shape[0] != SIZE:
-        raise ValueError(f"input must have leading dimension {SIZE}")
+    if x.ndim not in (1, 2) or x.shape[0] != SIZE:
+        raise ValueError(f"input must have shape ({SIZE},) or ({SIZE}, B), not {x.shape}")
     batched = x.ndim == 2
     xb = x if batched else x[:, None]
     nbatch = xb.shape[1]
@@ -153,53 +152,36 @@ def transform_1024(x: np.ndarray, variant: Variant) -> np.ndarray:
     return out if batched else out[:, 0]
 
 
-def _kernel_matrices(variant: Variant) -> tuple[np.ndarray, np.ndarray]:
-    """(Kr, Kc): the 32-point matrices in the row and column positions.
-
-    Each is dft_matrix(32) or the scaled approximate kernel adft32_matrix().
-    """
-    kr = dft_matrix(N) if variant.row_kernel_exact else adft32_matrix()
-    kc = dft_matrix(N) if variant.col_kernel_exact else adft32_matrix()
-    return kr, kc
-
-
 @lru_cache(maxsize=len(VARIANTS))
 def transform_matrix(variant: Variant) -> np.ndarray:
-    """Dense 1024x1024 matrix of the selected transform (column c is the
-    transform of the c-th unit impulse).  Cached and read-only.  Its users are
-    the dense export, perfbench's dense check and the tests; the analyses
-    take rows from _row_factors and _rows instead.
+    """Dense 1024x1024 matrix of the selected transform: column c is
+    transform_1024 of the c-th unit impulse, bit for bit.  Cached and
+    read-only.  Its users are the dense export, perfbench's dense check and
+    the tests; the analyses take rows from _row_factors and _rows instead.
 
-    Closed form of the pipeline: entry (d*N+k, c*N+i) = Kc[d,i] tw[k,i] Kr[k,c].
-    This is the Kronecker factorization (Kc x I) T (I x Kr) P of the
-    pipeline, one product per entry and no sums, evaluated in the pipeline's
-    order so each value is what transform_1024 returns for a unit impulse.
+    The impulses go through the pipeline _COLUMN_CHUNK // 32 at a time, one
+    kernel pass per slab.
     """
-    kr, kc = _kernel_matrices(variant)
-    rows = twiddle_matrix().entries[:, None, :] * kr[:, :, None]   # [k, c, i]
-    if variant.col_kernel_exact:
-        # K=1 batched matmul over i, rounding each product as BLAS does in
-        # the pipeline's column matmul.
-        prod = np.matmul(kc.T[:, :, None],
-                         rows.transpose(2, 0, 1).reshape(N, 1, SIZE))  # [i, d, (k, c)]
-        out = prod.reshape(N, N, N, N).transpose(1, 2, 3, 0).reshape(SIZE, SIZE)
-    else:
-        # The adds-only chain is exact on a single nonzero input, so the raw
-        # kernel entry times the input, scaled afterwards, is its output.
-        out = (_adft32_product()[:, None, None, :] * rows[None]).reshape(SIZE, SIZE)
-        out *= OUTPUT_SCALE
+    out = np.empty((SIZE, SIZE), dtype=complex)
+    step = _COLUMN_CHUNK // N
+    for c in range(0, SIZE, step):
+        out[:, c:c + step] = transform_1024(np.eye(SIZE, step, -c, dtype=complex), variant)
     return _readonly(out)
 
 
 def _row_factors(variant: Variant, bins) -> tuple[np.ndarray, np.ndarray]:
     """The 32-tap factors of each bin's row, (32, bins) each: fine over i, coarse over c.
 
-    Row d*32+k, laid out over (c, i) with n = 32c + i, is the outer product
-    of Kr[k] over c and Kc[d] * tw[k] over i (the Kronecker form of
-    transform_matrix).
+    The pipeline is the Kronecker factorization (Kc x I) T (I x Kr) P, where
+    Kr and Kc are the 32-point kernels in the row and column positions
+    (dft_matrix(32) or adft32_matrix()) and T holds the twiddles.  A unit
+    impulse meets one nonzero per kernel, so entry (d*32+k, 32c+i) is the
+    single product Kc[d,i] tw[k,i] Kr[k,c]: row d*32+k is the outer product
+    of Kr[k] over c and Kc[d] * tw[k] over i.
     """
     d, k = np.divmod(np.asarray(bins), N)
-    kr, kc = _kernel_matrices(variant)
+    kr, kc = (dft_matrix(N) if exact else adft32_matrix()
+              for exact in (variant.row_kernel_exact, variant.col_kernel_exact))
     return np.ascontiguousarray((kc[d] * twiddle_matrix().entries[k]).T), kr[k].T
 
 

@@ -138,7 +138,9 @@ def read_table_csv(path: Path) -> dict[str, np.ndarray]:
     """Read a column-oriented CSV back into arrays keyed by header name."""
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file, no header line")
         rows = [rec for rec in reader]
     out = {}
     for i, name in enumerate(header):

@@ -107,19 +107,13 @@ def factor_product(factors) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=4)
-def _adft32_product() -> np.ndarray:
-    """Raw factor product (Gaussian-integer entries, no scaling)."""
-    return _readonly(factor_product(all_factors()))
-
-
 @lru_cache(maxsize=1)
 def adft32_matrix() -> np.ndarray:
     """Dense 32-point kernel OUTPUT_SCALE * (W7 @ ... @ W0); cached and read-only.
 
     The raw Gaussian-integer product is factor_product(all_factors()).
     """
-    return _readonly(OUTPUT_SCALE * _adft32_product())
+    return _readonly(OUTPUT_SCALE * factor_product(all_factors()))
 
 
 def adft32_apply(x: np.ndarray) -> np.ndarray:

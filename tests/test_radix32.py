@@ -79,6 +79,8 @@ def test_exact_pipeline_matches_direct_dft(rng):
 def test_transform_rejects_wrong_length():
     with pytest.raises(ValueError):
         transform_1024(np.zeros(512, dtype=complex), Variant.EXACT)
+    with pytest.raises(ValueError, match=r"\(1024,\) or \(1024, B\)"):
+        transform_1024(np.zeros((SIZE, 2, 3)), Variant.EXACT)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -99,27 +101,28 @@ def test_alg1_impulse_extracts_matrix_column():
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_pipeline_matches_dense_matrix(variant, rng):
-    # The matrix is built in closed form, not through transform_1024, so
-    # this compares two independent computations of the same operator.
+    # The rows are products of kernel and twiddle entries and never run the
+    # pipeline, so this compares two independent computations of the same
+    # operator.
     x = complex_vector(rng, SIZE * 7).reshape(SIZE, 7)
     got = transform_1024(x, variant)
-    ref = transform_matrix(variant) @ x
+    ref = _rows(variant, range(SIZE)) @ x
     rel = np.linalg.norm(got - ref, axis=0) / np.linalg.norm(ref, axis=0)
     assert rel.max() <= 1e-13
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_matrix_equals_pipeline_on_identity(variant):
-    # The pipeline applied to every unit impulse is the matrix, value for
-    # value (array_equal treats +0 and -0 as equal).
-    assert np.array_equal(transform_matrix(variant),
-                          transform_1024(np.eye(SIZE), variant))
+    # The matrix is built from slabs of unit impulses; a single batch of all
+    # of them gives the same bits, the sign of every zero included.
+    np.testing.assert_array_equal(transform_matrix(variant).view(np.uint64),
+                                  transform_1024(np.eye(SIZE), variant).view(np.uint64))
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_rows_from_factors_match_dense_matrix(variant):
     # The factored rows round their products in another order than the
-    # closed form, so they agree up to rounding.
+    # pipeline, so they agree up to rounding.
     np.testing.assert_allclose(_rows(variant, range(SIZE)), transform_matrix(variant),
                                rtol=0, atol=1e-15)
 

@@ -42,6 +42,14 @@ def test_matrix_reader_rejects_foreign_header(tmp_path):
         read_matrix_csv(path)
 
 
+@pytest.mark.parametrize("reader", [read_matrix_csv, read_table_csv])
+def test_readers_reject_an_empty_file_by_name(tmp_path, reader):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    with pytest.raises(ValueError, match="empty.csv"):
+        reader(path)
+
+
 def test_table_round_trip(tmp_path):
     path = tmp_path / "table.csv"
     bins = np.array([0, 16, 32])
