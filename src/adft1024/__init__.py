@@ -16,8 +16,8 @@ from .complexity import (ADFT32_CIRCUIT, ADFT32_SEQUENTIAL, CircuitReport,
                          count_sequential, twiddle_cost)
 from .analysis import (BeamPattern, DB_FLOOR, GRID_SIZE, RowErrorStats,
                        SideLobeReport, SnrReport, beam_pattern, default_angles,
-                       filterbank_error, grid_points, row_response,
-                       snr_monte_carlo, worst_side_lobe)
+                       filterbank_error, grid_points, snr_monte_carlo,
+                       worst_side_lobe)
 
 __version__ = "1.0.0"
 

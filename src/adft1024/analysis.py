@@ -8,9 +8,9 @@ noise, and beam patterns come from steering a half-wavelength uniform
 linear array across the same rows.  Each row of the radix-32 pipeline is
 the outer product of a column-kernel row and a row-kernel row, so its
 response at any frequency is the product of two 32-tap sums.  The filter
-bank and the beams are computed that way, a block of frequencies at a
-time, so neither builds a rows x grid array.  Dense rows come from the
-factors too (radix32._rows): no analysis builds transform_matrix, which
+bank, the beams and the side lobes are computed that way, a block of
+frequencies (or of 32 rows) at a time, so none builds a rows x grid array.
+Dense rows come from the factors too (radix32._rows); transform_matrix
 serves only the dense export, perfbench's dense check and the tests.
 """
 
@@ -35,14 +35,10 @@ _WORST_ROW_TOL_DB = 1e-9   # side lobes this close to the worst tie with it
 _REPLICATE_CHUNK = 512
 
 
-def _check_grid_size(m: int) -> None:
-    if m < 2:
-        raise ValueError("a frequency grid needs at least two points")
-
-
 def grid_points(m: int) -> np.ndarray:
     """m angular frequencies covering [-pi, pi), endpoint excluded."""
-    _check_grid_size(m)
+    if m < 2:
+        raise ValueError("a frequency grid needs at least two points")
     return -np.pi + 2 * np.pi * np.arange(m) / m
 
 
@@ -56,22 +52,6 @@ def _check_row_grid(m: int) -> None:
     if 2 <= m < SIZE and SIZE % m == 0:
         raise ValueError(f"grid size {m} divides {SIZE}: it samples most exact rows"
                          " only at their nulls")
-
-
-def row_response(rows: np.ndarray, grid_size: int) -> np.ndarray:
-    """H(w) = sum_n c_n e^{-jwn} on grid_points(grid_size) for a row (n,) or each of (r, n).
-
-    One FFT of grid_size points: the half-turn phase ramp shifts the origin
-    to -pi, and a row longer than the grid is zero-padded to a multiple of
-    it and folded modulo grid_size (time aliasing), which leaves its
-    response on the grid unchanged.
-    """
-    _check_grid_size(grid_size)
-    rows = np.asarray(rows, dtype=complex)
-    n = rows.shape[-1]
-    folded = np.zeros(rows.shape[:-1] + (-(-n // grid_size), grid_size), dtype=complex)
-    folded.reshape(rows.shape[:-1] + (-1,))[..., :n] = rows * (-1.0) ** np.arange(n)
-    return np.fft.fft(folded.sum(axis=-2), axis=-1)
 
 
 def _checked_bins(bins) -> list[int]:
@@ -113,16 +93,22 @@ def _energy_db(value: float) -> float:
     return float(max(10 * np.log10(value), DB_FLOOR))
 
 
-def _factored_response(fine: np.ndarray, coarse: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _taps(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (w, 32) tap tables e^{-jwi} and e^{-j32wc} of _factored_response."""
+    taps = -1j * np.arange(N)
+    return np.exp(np.outer(w, taps)), np.exp(np.outer(N * w, taps))
+
+
+def _factored_response(fine: np.ndarray, coarse: np.ndarray, taps) -> np.ndarray:
     """H(w) = sum_n row[n] e^{-jwn} of rows given by their factors, (w, rows).
 
     H_r(w) = (fine[:, r] . e^{-jwi}) (coarse[:, r % K] . e^{-j32wc}) with K
     coarse columns, so rows sharing a coarse factor share its 32-tap sums.
     """
-    taps = -1j * np.arange(N)
-    h = np.exp(np.outer(w, taps)) @ fine
-    by_coarse = h.reshape(w.size, -1, coarse.shape[1])
-    by_coarse *= (np.exp(np.outer(N * w, taps)) @ coarse)[:, None, :]
+    fine_taps, coarse_taps = taps
+    h = fine_taps @ fine
+    by_coarse = h.reshape(h.shape[0], -1, coarse.shape[1])
+    by_coarse *= (coarse_taps @ coarse)[:, None, :]
     return h
 
 
@@ -145,12 +131,13 @@ def filterbank_error(variant: Variant, grid_size: int = GRID_SIZE) -> RowErrorSt
 
     peak = np.zeros(SIZE)
     for block in blocks:
-        np.maximum(peak, np.abs(_factored_response(*exact, frequencies[block])).max(axis=0),
-                   out=peak)
+        taps = _taps(frequencies[block])
+        np.maximum(peak, np.abs(_factored_response(*exact, taps)).max(axis=0), out=peak)
     lower, q1, q2, q3, upper = curves = np.empty((5, grid_size))
     for block in blocks:
-        h_err = _factored_response(*approx, frequencies[block])
-        h_err -= _factored_response(*exact, frequencies[block])
+        taps = _taps(frequencies[block])
+        h_err = _factored_response(*approx, taps)
+        h_err -= _factored_response(*exact, taps)
         err = np.abs(h_err)
         del h_err
         err /= peak
@@ -227,7 +214,9 @@ def worst_side_lobe(variant: Variant, grid_size: int = GRID_SIZE) -> SideLobeRep
     worst_row is the lowest-index row within _WORST_ROW_TOL_DB of it.
     """
     _check_row_grid(grid_size)
-    mags = (np.abs(row_response(_rows(variant, block), grid_size)) for block in _ROW_BLOCKS)
+    taps = _taps(grid_points(grid_size))
+    mags = (np.abs(_factored_response(*_row_factors(variant, block), taps).T, order="C")
+            for block in _ROW_BLOCKS)
     per_row = np.concatenate([_side_lobe_rows(mag) for mag in mags])
     worst_db = per_row.max()
     return SideLobeReport(
@@ -367,7 +356,7 @@ def beam_pattern(variant: Variant, bins,
     gains = np.empty((len(bins), w.size), dtype=complex)
     for start in range(0, w.size, _FREQ_BLOCK):
         block = slice(start, start + _FREQ_BLOCK)
-        gains[:, block] = _factored_response(fine, coarse, w[block]).T
+        gains[:, block] = _factored_response(fine, coarse, _taps(w[block])).T
     gains /= peaks[:, None]
     return [BeamPattern(bin_index=k, angles=angles, gain=gain)
             for k, gain in zip(bins, gains)]

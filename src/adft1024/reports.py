@@ -134,6 +134,13 @@ def write_table_csv(path: Path, header: tuple[str, ...], columns) -> None:
     _atomic_write_text(path, _table_text(header, zip(*(c.tolist() for c in columns))))
 
 
+def _float(text: str, path: Path, line: int) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{path}, line {line}: {text!r} is not a number") from None
+
+
 def read_table_csv(path: Path) -> dict[str, np.ndarray]:
     """Read a column-oriented CSV back into arrays keyed by header name."""
     with open(path, newline="") as handle:
@@ -141,17 +148,20 @@ def read_table_csv(path: Path) -> dict[str, np.ndarray]:
         header = next(reader, None)
         if header is None:
             raise ValueError(f"{path}: empty file, no header line")
-        rows = [rec for rec in reader]
+        rows = [(reader.line_num, rec) for rec in reader]
+    for line, rec in rows:
+        if len(rec) != len(header):
+            raise ValueError(f"{path}, line {line}: {len(rec)} fields, not {len(header)}")
     out = {}
     for i, name in enumerate(header):
-        col = [row[i] for row in rows]
+        col = [rec[i] for _, rec in rows]
         try:
             # str() of an int never gives "-0"; FLOAT_FMT of -0.0 does.
             if "-0" in col:
                 raise ValueError("negative zero")
             out[name] = np.array([int(v) for v in col])
         except ValueError:
-            out[name] = np.array([float(v) for v in col])
+            out[name] = np.array([_float(v, path, line) for (line, _), v in zip(rows, col)])
     return out
 
 

@@ -57,13 +57,14 @@ def dft_direct(x: np.ndarray) -> np.ndarray:
     Accepts a vector (N,) or a batch (N, B) of column vectors.
     """
     x = np.asarray(x, dtype=complex)
+    if x.ndim not in (1, 2):
+        raise ValueError(f"input must have shape (N,) or (N, B), not {x.shape}")
     return dft_matrix(x.shape[0]) @ x
 
 
 def idft_direct(X: np.ndarray) -> np.ndarray:
-    """Direct unitary inverse DFT; round-trips dft_direct to 1e-10."""
-    X = np.asarray(X, dtype=complex)
-    return dft_matrix(X.shape[0]).conj() @ X
+    """Direct unitary inverse DFT, conj(F conj(X)); round-trips dft_direct to 1e-10."""
+    return dft_direct(np.conj(X)).conj()
 
 
 @lru_cache(maxsize=16)
@@ -78,13 +79,12 @@ def _bit_reverse_indices(n: int) -> np.ndarray:
 def fft_radix2(x: np.ndarray) -> np.ndarray:
     """Iterative radix-2 decimation-in-time FFT, unitary scaling.
 
-    Matches dft_direct to 1e-10 relative; input length must be a power of
-    two.
+    Matches dft_direct to 1e-10 relative on a vector (N,), N a power of two.
     """
     x = np.asarray(x, dtype=complex)
-    n = x.shape[0]
-    if n < 1 or n & (n - 1):
-        raise ValueError("radix-2 FFT requires a power-of-two length")
+    n = x.size
+    if x.ndim != 1 or n < 1 or n & (n - 1):
+        raise ValueError(f"radix-2 FFT requires shape (N,), N a power of two, not {x.shape}")
     y = x[_bit_reverse_indices(n)].copy()
     m = 2
     while m <= n:
@@ -125,8 +125,8 @@ def adft32_apply(x: np.ndarray) -> np.ndarray:
     still in cache.
     """
     x = np.asarray(x, dtype=complex)
-    if x.shape[0] != 32:
-        raise ValueError("kernel input must have leading dimension 32")
+    if x.shape[:1] != (32,):
+        raise ValueError(f"kernel input must have shape (32,) or (32, B), not {x.shape}")
     y = np.empty(x.shape, dtype=complex)
     cols_in = x.reshape(32, x.size // 32)
     cols_out = y.reshape(cols_in.shape)

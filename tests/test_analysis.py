@@ -9,10 +9,10 @@ import pytest
 
 from adft1024.analysis import (_ZERO_ENERGY, DB_FLOOR, GRID_SIZE, beam_pattern,
                                default_angles, filterbank_error, grid_points,
-                               row_response, snr_monte_carlo, worst_side_lobe)
-from adft1024.radix32 import SIZE, Variant, transform_matrix
+                               snr_monte_carlo, worst_side_lobe)
+from adft1024.radix32 import SIZE, VARIANTS, Variant, transform_matrix
 
-from conftest import complex_vector, side_lobe_walk, traced_peak
+from conftest import side_lobe_walk, traced_peak
 
 EXACT, ALG1, ALG2, ALG3 = Variant.EXACT, Variant.ALG1, Variant.ALG2, Variant.ALG3
 
@@ -33,47 +33,6 @@ def test_default_grid_shape():
 def test_grid_needs_two_points():
     with pytest.raises(ValueError, match="at least two points"):
         grid_points(1)
-    for n in (1, 3):   # a single-point grid is refused whether it folds the row or not
-        with pytest.raises(ValueError, match="at least two points"):
-            row_response(np.ones(n), 1)
-
-
-def test_impulse_row_has_flat_response():
-    row = np.zeros(SIZE, dtype=complex)
-    row[0] = 1.0
-    h = row_response(row, 1024)
-    np.testing.assert_allclose(h, np.ones(1024), atol=1e-12)
-
-
-def test_exact_row_peak_is_sqrt_block_length():
-    row = transform_matrix(EXACT)[37]
-    peak = np.abs(row_response(row, GRID_SIZE)).max()
-    assert peak == pytest.approx(math.sqrt(SIZE), rel=1e-9)
-
-
-def test_real_row_has_conjugate_symmetric_response(rng):
-    row = rng.standard_normal(16)
-    m = 256
-    h = row_response(row, m)
-    mirrored = h[(-np.arange(m)) % m]
-    np.testing.assert_allclose(mirrored, np.conj(h), atol=1e-12)
-
-
-def test_fft_and_direct_response_paths_agree(rng):
-    row = complex_vector(rng, 32)
-    stack = np.stack([row, complex_vector(rng, 32), complex_vector(rng, 32)])
-    # 128 points zero-pad the row; 16 < 32 taps fold it modulo the grid.
-    for m in (128, 16):
-        direct = row @ np.exp(-1j * np.outer(np.arange(32), grid_points(m)))
-        np.testing.assert_allclose(row_response(row, m), direct, atol=1e-12)
-        # A stack gives the per-row bits on every grid.
-        per_row = np.stack([row_response(r, m) for r in stack])
-        np.testing.assert_array_equal(row_response(stack, m), per_row)
-    # A 1024-tap row on a 1000-point grid folds 24 taps onto the first ones.
-    long_row = complex_vector(rng, SIZE)
-    direct = long_row @ np.exp(-1j * np.outer(np.arange(SIZE), grid_points(1000)))
-    np.testing.assert_allclose(row_response(long_row, 1000), direct, rtol=0,
-                               atol=1e-9 * np.abs(direct).max())
 
 
 def test_filterbank_exact_sits_at_floor():
@@ -161,6 +120,26 @@ def test_sidelobe_variant_regression_values():
         assert not tied[:report.worst_row].any()
         worst_rows.append(report.worst_row)
     assert worst_rows == [64, 2, 64]
+
+
+def test_sidelobe_rows_match_direct_dtft_oracle():
+    # Every 8th row of each dense matrix, its response summed directly on the
+    # grid, walked by the scalar reference: 1000 points is shorter than a row.
+    n = np.arange(SIZE)
+    rows = np.concatenate([transform_matrix(v)[::8] for v in VARIANTS])
+    for m in (1000, 8192):
+        w = grid_points(m)
+        mags = np.empty((rows.shape[0], m))
+        for start in range(0, m, 1024):
+            block = slice(start, start + 1024)
+            mags[:, block] = np.abs(rows @ np.exp(-1j * np.outer(n, w[block])))
+        oracle = np.array([side_lobe_walk(mag)[0] for mag in mags]).reshape(len(VARIANTS), -1)
+        for variant, expected in zip(VARIANTS, oracle):
+            np.testing.assert_allclose(worst_side_lobe(variant, m).per_row_db[::8], expected,
+                                       rtol=0, atol=1e-9)
+    # Two 8192 x 32 tap tables and one block's responses, not 1024 dense rows.
+    _, peak = traced_peak(lambda: worst_side_lobe(ALG1, 8192))
+    assert peak < 24 * 2 ** 20
 
 
 def test_snr_exact_gain_matches_block_length():

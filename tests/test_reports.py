@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import stat
 from unittest import mock
 
@@ -48,6 +49,19 @@ def test_readers_reject_an_empty_file_by_name(tmp_path, reader):
     path.write_text("")
     with pytest.raises(ValueError, match="empty.csv"):
         reader(path)
+
+
+@pytest.mark.parametrize("text, problem", [
+    ("a,b\n1\n", "1 fields, not 2"),
+    ("a,b\n1,2,3\n", "3 fields, not 2"),
+    ("a,b\n0,1\n1,x\n", "'x' is not a number"),
+], ids=["short-row", "long-row", "not-a-number"])
+def test_table_reader_names_the_broken_line(tmp_path, text, problem):
+    path = tmp_path / "broken.csv"
+    path.write_text(text)
+    line = text.count("\n")   # the last line is the broken one
+    with pytest.raises(ValueError, match=re.escape(f"{path}, line {line}: {problem}")):
+        read_table_csv(path)
 
 
 def test_table_round_trip(tmp_path):

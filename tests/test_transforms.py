@@ -28,6 +28,10 @@ def test_dft_matrix_n2():
 def test_dft_matrix_rejects_zero():
     with pytest.raises(ValueError):
         dft_matrix(0)
+    # A 0-d input has no length: the direct paths name the shapes they take.
+    for direct in (dft_direct, idft_direct):
+        with pytest.raises(ValueError, match=r"\(N,\) or \(N, B\)"):
+            direct(np.float64(1.0))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16, 32, 37, 64, 1000, 1024, 2048])
@@ -100,6 +104,8 @@ def test_fft_radix2_smallest_case():
 def test_fft_radix2_rejects_non_power_of_two():
     with pytest.raises(ValueError):
         fft_radix2(np.zeros(24, dtype=complex))
+    with pytest.raises(ValueError, match=r"shape \(N,\)"):
+        fft_radix2(np.float64(1.0))
 
 
 @pytest.mark.parametrize("n", [2, 4, 8, 64, 256, 1024])
@@ -234,8 +240,9 @@ def test_impulse_extracts_first_column():
 
 
 def test_apply_rejects_wrong_length():
-    with pytest.raises(ValueError):
-        adft32_apply(np.zeros(33, dtype=complex))
+    for x in (np.zeros(33, dtype=complex), np.float64(1.0)):
+        with pytest.raises(ValueError, match=r"\(32,\) or \(32, B\)"):
+            adft32_apply(x)
 
 
 def test_worst_row_response_error_near_minus_ten_db():
