@@ -214,8 +214,12 @@ def worst_side_lobe(variant: Variant, grid_size: int = GRID_SIZE) -> SideLobeRep
     worst_row is the lowest-index row within _WORST_ROW_TOL_DB of it.
     """
     _check_row_grid(grid_size)
-    taps = _taps(grid_points(grid_size))
-    mags = (np.abs(_factored_response(*_row_factors(variant, block), taps).T, order="C")
+    fine_taps, coarse_taps = _taps(grid_points(grid_size))
+    fine, coarse = _row_factors(variant, range(SIZE))
+    # Bin d*32+k has coarse factor Kr[k] for every d: one set of coarse sums
+    # serves all blocks.
+    coarse_sums = coarse_taps @ coarse[:, :N]
+    mags = (np.abs((fine_taps @ fine[:, block] * coarse_sums).T, order="C")
             for block in _ROW_BLOCKS)
     per_row = np.concatenate([_side_lobe_rows(mag) for mag in mags])
     worst_db = per_row.max()

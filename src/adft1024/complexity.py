@@ -134,8 +134,7 @@ def twiddle_cost(model: CostModel) -> tuple[int, int]:
 def _kernel_positions(variant: Variant, exact: tuple[int, int],
                       approx: tuple[int, int]) -> tuple[int, int]:
     """Summed (mults, adds) of one row-position and one column-position block."""
-    row = exact if variant.row_kernel_exact else approx
-    col = exact if variant.col_kernel_exact else approx
+    row, col = variant.place(exact, approx)
     return row[0] + col[0], row[1] + col[1]
 
 

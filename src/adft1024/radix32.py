@@ -18,12 +18,13 @@ Each kernel runs in passes of at most _COLUMN_CHUNK columns.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .transforms import _COLUMN_CHUNK, _readonly, adft32_apply, adft32_matrix, dft_matrix
+from .transforms import _COLUMN_CHUNK, _readonly, adft32_apply, adft32_matrix, dft_direct, dft_matrix
 
 N = 32
 SIZE = N * N
@@ -37,13 +38,10 @@ class Variant(enum.Enum):
     ALG2 = "alg2"     # approximate rows, exact columns
     ALG3 = "alg3"     # exact rows, approximate columns
 
-    @property
-    def row_kernel_exact(self) -> bool:
-        return self in (Variant.EXACT, Variant.ALG3)
-
-    @property
-    def col_kernel_exact(self) -> bool:
-        return self in (Variant.EXACT, Variant.ALG2)
+    def place(self, exact, approx) -> tuple:
+        """(row, column): exact or approx for each kernel position, per the table above."""
+        return (exact if self in (Variant.EXACT, Variant.ALG3) else approx,
+                exact if self in (Variant.EXACT, Variant.ALG2) else approx)
 
 
 VARIANTS = (Variant.EXACT, Variant.ALG1, Variant.ALG2, Variant.ALG3)
@@ -85,15 +83,17 @@ def invvec(x: np.ndarray) -> np.ndarray:
     Accepts an extra trailing batch axis.
     """
     x = np.asarray(x)
-    n = int(round(np.sqrt(x.shape[0])))
-    if n * n != x.shape[0]:
-        raise ValueError("input length must be a perfect square")
+    n = math.isqrt(x.shape[0]) if x.ndim else 0
+    if x.ndim == 0 or n * n != x.shape[0]:
+        raise ValueError(f"input needs a perfect-square length on axis 0, not shape {x.shape}")
     return x.reshape((n, n) + x.shape[1:], order="F")
 
 
 def vec(mat: np.ndarray) -> np.ndarray:
     """Column-major flatten; exact inverse of invvec."""
     mat = np.asarray(mat)
+    if mat.ndim < 2:
+        raise ValueError(f"input must have at least two axes, not shape {mat.shape}")
     r, c = mat.shape[:2]
     return mat.reshape((r * c,) + mat.shape[2:], order="F")
 
@@ -109,8 +109,8 @@ def _passes(m: int, nbatch: int) -> list[tuple[slice, slice]]:
             for j in range(0, m, step) for b in range(0, nbatch, _COLUMN_CHUNK)]
 
 
-def _kernel(exact: bool, src: np.ndarray, dst: np.ndarray) -> None:
-    """Apply the configured 32-point kernel along axis 0 of (32, M, B) views.
+def _kernel(kernel, src: np.ndarray, dst: np.ndarray) -> None:
+    """Apply a 32-point kernel callable along axis 0 of (32, M, B) views.
 
     One pass at a time: a pass's columns are read from src as one 2-D
     (32, columns) block, transformed into a pass-sized temporary and written
@@ -119,8 +119,7 @@ def _kernel(exact: bool, src: np.ndarray, dst: np.ndarray) -> None:
     for m, b in _passes(*src.shape[1:]):
         block = src[:, m, b]
         cols = block.reshape(N, block.size // N)
-        dst[:, m, b] = (dft_matrix(N) @ cols if exact
-                        else adft32_apply(cols)).reshape(block.shape)
+        dst[:, m, b] = kernel(cols).reshape(block.shape)
 
 
 def transform_1024(x: np.ndarray, variant: Variant) -> np.ndarray:
@@ -136,9 +135,11 @@ def transform_1024(x: np.ndarray, variant: Variant) -> np.ndarray:
     xb = x if batched else x[:, None]
     nbatch = xb.shape[1]
 
+    # Looked up per call, so a wrapper set on this module sees the kernel calls.
+    row, col = variant.place(dft_direct, adft32_apply)
     y = np.empty((N, N, nbatch), dtype=complex)
     # Rows: [c, i, b] = x[c*N+i, b] in, row i's bin k out to y[i, k, b].
-    _kernel(variant.row_kernel_exact, xb.reshape(N, N, nbatch), y.transpose(1, 0, 2))
+    _kernel(row, xb.reshape(N, N, nbatch), y.transpose(1, 0, 2))
 
     # Twiddle in place: y[i, k, b] *= tw[k, i], which is tw[i, k] (the grid is
     # symmetric).  numpy's complex product is not symmetric in its operands,
@@ -146,7 +147,7 @@ def transform_1024(x: np.ndarray, variant: Variant) -> np.ndarray:
     np.multiply(twiddle_matrix().entries[:, :, None], y, out=y)
 
     # Columns in place: y[i, k, b] -> y[d, k, b], so bin d*N + k is y[d, k].
-    _kernel(variant.col_kernel_exact, y, y)
+    _kernel(col, y, y)
 
     out = y.reshape(SIZE, nbatch)
     return out if batched else out[:, 0]
@@ -180,8 +181,7 @@ def _row_factors(variant: Variant, bins) -> tuple[np.ndarray, np.ndarray]:
     of Kr[k] over c and Kc[d] * tw[k] over i.
     """
     d, k = np.divmod(np.asarray(bins), N)
-    kr, kc = (dft_matrix(N) if exact else adft32_matrix()
-              for exact in (variant.row_kernel_exact, variant.col_kernel_exact))
+    kr, kc = variant.place(dft_matrix(N), adft32_matrix())
     return np.ascontiguousarray((kc[d] * twiddle_matrix().entries[k]).T), kr[k].T
 
 

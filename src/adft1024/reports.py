@@ -101,20 +101,62 @@ def write_dense_matrix_csv(path: Path, matrix: np.ndarray) -> None:
     _atomic_write_text(path, lines())
 
 
+def _float(text: str, path: Path, line: int) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{path}, line {line}: {text!r} is not a number") from None
+
+
+def _matrix_lines(lines: list[str], path: Path, first: int, size: int | None) -> np.ndarray:
+    """Parse row,col,re,im lines to a (lines, 4) array; lines[0] is line `first`.
+
+    Each row and col must be an integer in [0, size), or >= 0 when size is
+    None.  When numpy rejects the chunk, a line-by-line pass names the first
+    line with the wrong field count or a field float() rejects; a field only
+    numpy rejects (such as 1_0) is reported with the chunk's line range.
+    """
+    try:
+        rec = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
+        if rec.shape != (len(lines), len(MATRIX_HEADER)):
+            raise ValueError(f"{rec.shape} values from {len(lines)} lines")
+    except ValueError as exc:
+        for line, text in enumerate(lines, first):
+            fields = text.rstrip("\n").split(",")
+            if len(fields) != len(MATRIX_HEADER):
+                raise ValueError(f"{path}, line {line}: {len(fields)} fields, "
+                                 f"not {len(MATRIX_HEADER)}") from None
+            for field in fields:
+                _float(field, path, line)
+        raise ValueError(f"{path}, lines {first}-{first + len(lines) - 1}: {exc}") from None
+    index = rec[:, :2]
+    limit = np.inf if size is None else size
+    bad = ~((index >= 0) & (index < limit) & (index == np.floor(index)))
+    if bad.any():
+        j, f = divmod(int(bad.argmax()), 2)
+        raise ValueError(f"{path}, line {first + j}: {MATRIX_HEADER[f]} {index[j, f]:g} "
+                         f"is not an integer in [0, {limit})")
+    return rec
+
+
 def read_matrix_csv(path: Path, size: int | None = None) -> np.ndarray:
     """Rebuild a dense complex matrix from row,col,re,im lines.
 
     Works for both the sparse and the dense layout; unlisted cells are zero.
-    Lines are parsed by numpy, _READ_LINES at a time.
+    Lines are parsed by numpy, _READ_LINES at a time.  A malformed line
+    raises a ValueError naming the path and the line.
     """
     with open(path, encoding="utf-8") as handle:
         header = handle.readline().rstrip("\n").split(",")
         if tuple(header) != MATRIX_HEADER:
             raise ValueError(f"{path}: unexpected header {header!r}")
-        chunks = []
+        chunks, first = [], 2
         while lines := list(islice(handle, _READ_LINES)):
-            chunks.append(np.loadtxt(lines, delimiter=",", ndmin=2))
+            chunks.append(_matrix_lines(lines, path, first, size))
+            first += len(lines)
     if size is None:
+        if not chunks:
+            raise ValueError(f"{path}: no entries to take the size from")
         size = int(max(rec[:, :2].max() for rec in chunks)) + 1
     out = np.zeros((size, size), dtype=complex)
     while chunks:
@@ -132,13 +174,6 @@ def write_table_csv(path: Path, header: tuple[str, ...], columns) -> None:
     if len(columns) != len(header):
         raise ValueError("one column per header field required")
     _atomic_write_text(path, _table_text(header, zip(*(c.tolist() for c in columns))))
-
-
-def _float(text: str, path: Path, line: int) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ValueError(f"{path}, line {line}: {text!r} is not a number") from None
 
 
 def read_table_csv(path: Path) -> dict[str, np.ndarray]:

@@ -1,10 +1,13 @@
 """Reshaping, twiddles, and the four 1024-point transform pipelines."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adft1024 import radix32
 from adft1024.radix32 import (APPROX_VARIANTS, SIZE, TransformSpec, Variant,
                               VARIANTS, _rows, invvec, transform_1024,
                               transform_matrix, twiddle_matrix, vec)
@@ -21,8 +24,14 @@ def test_invvec_2x2_pattern():
 
 
 def test_invvec_rejects_non_square_length():
-    with pytest.raises(ValueError):
-        invvec(np.zeros(12))
+    for x in (np.zeros(12), np.float64(1.0)):
+        with pytest.raises(ValueError, match=re.escape(f"not shape {np.shape(x)}")):
+            invvec(x)
+
+
+def test_vec_rejects_a_vector():
+    with pytest.raises(ValueError, match=re.escape("not shape (4,)")):
+        vec(np.zeros(4))
 
 
 def test_vec_2x2_column_major():
@@ -131,14 +140,11 @@ def _three_array_transform(x, variant):
     """The pipeline laid out as three full-size arrays: the row-kernel output,
     twiddled in place, a transposed copy of it, and the column-kernel output."""
     nbatch = x.shape[1]
-
-    def kernel(exact, block):
-        return dft_matrix(32) @ block if exact else adft32_apply(block)
-
-    p = kernel(variant.row_kernel_exact, x.reshape(32, 32 * nbatch)).reshape(32, 32, nbatch)
+    row, col = variant.place(lambda block: dft_matrix(32) @ block, adft32_apply)
+    p = row(x.reshape(32, 32 * nbatch)).reshape(32, 32, nbatch)
     np.multiply(twiddle_matrix().entries[:, :, None], p, out=p)
     cols = p.transpose(1, 0, 2).reshape(32, 32 * nbatch)
-    return kernel(variant.col_kernel_exact, cols).reshape(SIZE, nbatch)
+    return col(cols).reshape(SIZE, nbatch)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -150,6 +156,26 @@ def test_pipeline_equals_three_array_layout(variant, rng):
         assert np.array_equal(transform_1024(x, variant), ref)
         if nbatch == 1:
             assert np.array_equal(transform_1024(x[:, 0], variant), ref[:, 0])
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_pipeline_looks_up_each_kernel_by_name_rows_first(variant, monkeypatch, rng):
+    # perfbench times the kernel by replacing radix32.adft32_apply, so the
+    # pipeline must find both kernels on the module when it runs.
+    calls = {Variant.EXACT: ["exact", "exact"], Variant.ALG1: ["approx", "approx"],
+             Variant.ALG2: ["approx", "exact"], Variant.ALG3: ["exact", "approx"]}
+    seen = []
+
+    def counting(name, kernel):
+        def wrapper(cols):
+            seen.append(name)
+            return kernel(cols)
+        return wrapper
+
+    monkeypatch.setattr(radix32, "dft_direct", counting("exact", dft_direct))
+    monkeypatch.setattr(radix32, "adft32_apply", counting("approx", adft32_apply))
+    transform_1024(complex_vector(rng, SIZE), variant)
+    assert seen == calls[variant]
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

@@ -51,6 +51,29 @@ def test_readers_reject_an_empty_file_by_name(tmp_path, reader):
         reader(path)
 
 
+@pytest.mark.parametrize("body, size, where, problem", [
+    ("0,0,5,5\n-1,0,1,2\n", None, ", line 3", "row -1 is not an integer in [0, inf)"),
+    ("0,0,1,2\n0,0,1,2\n0,0,1,2\n0.5,0,1,2\n", None, ", line 5", "row 0.5 is not an integer"),
+    ("0,1,1,2\n0,2,1,2\n", 2, ", line 3", "col 2 is not an integer in [0, 2)"),
+    ("0,0,1\n", None, ", line 2", "3 fields, not 4"),
+    ("0,0,1,2\n0,0,1\n", None, ", line 3", "3 fields, not 4"),
+    ("0,0,1,2,3\n", None, ", line 2", "5 fields, not 4"),
+    ("0,0,1,2\n\n", None, ", line 3", "1 fields, not 4"),
+    ("0,0,1,2\n0,0,1,2\n0,0,1,x\n", None, ", line 4", "'x' is not a number"),
+    ("0,0,1,2\n0,0,1,2\n0,0,1_0,0\n", None, ", lines 4-4", "could not convert string '1_0'"),
+    ("", None, "", "no entries to take the size from"),
+], ids=["negative", "fraction", "too-large", "short-row", "short-row-after-good",
+        "long-row", "blank-line", "not-a-number", "numpy-rejects", "header-only"])
+def test_matrix_reader_names_the_broken_line(tmp_path, body, size, where, problem):
+    # Two lines per chunk: line numbers count from the top of the file, not
+    # from the start of the chunk.
+    path = tmp_path / "broken.csv"
+    path.write_text("row,col,re,im\n" + body)
+    with mock.patch.object(reports, "_READ_LINES", 2):
+        with pytest.raises(ValueError, match=re.escape(f"{path}{where}: {problem}")):
+            read_matrix_csv(path, size)
+
+
 @pytest.mark.parametrize("text, problem", [
     ("a,b\n1\n", "1 fields, not 2"),
     ("a,b\n1,2,3\n", "3 fields, not 2"),
