@@ -9,7 +9,6 @@ failed, 2 a usage, I/O or allocation error (one ``error:`` line on stderr).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -22,41 +21,18 @@ from .radix32 import (APPROX_VARIANTS, SIZE, Variant, VARIANTS, invvec, transfor
                       transform_matrix, twiddle_matrix, vec)
 from .transforms import OUTPUT_SCALE, dft_direct, dft_matrix, factor_product, fft_radix2
 
-ENV_OUT_DIR = "ADFT1024_OUT_DIR"
 _COST_MODELS = sorted(s.value for s in complexity.ComplexMultScheme)
 
 
 @dataclass
 class RunConfig:
-    """Defaults for every command; a config file may override any field."""
+    """The settings a command runs with: defaults, then --paper-mode, then flags."""
 
-    out_dir: str = ""
+    out_dir: str = "."
     grid_size: int = analysis.GRID_SIZE
     replicates: int = analysis.REPLICATES
     seed: int = 0
     cost_model: str = "paper"
-
-    @classmethod
-    def from_file(cls, path: str) -> "RunConfig":
-        cfg = cls()
-        known = {f.name for f in fields(cls)}
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in known:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            if isinstance(getattr(cfg, key), int):
-                try:
-                    value = int(value)
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: {key}: expected an integer, "
-                                     f"got {value!r}") from None
-            setattr(cfg, key, value)
-        return cfg
 
 
 def _parse_bins(text: str) -> list[int]:
@@ -73,8 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="adft1024",
         description="Multiplierless approximate-DFT transform and analysis reports.")
-    parser.add_argument("--out-dir", help=f"output directory (default ${ENV_OUT_DIR} or .)")
-    parser.add_argument("--config", help="key=value config file overriding defaults")
+    parser.add_argument("--out-dir", help="output directory (default .)")
     parser.add_argument("--paper-mode", action="store_true",
                         help=f"pin grid {analysis.GRID_SIZE}, replicates 100000 and the"
                              " 3M/3A cost model")
@@ -86,7 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_gen_matrix)
 
     p = sub.add_parser("verify", help="run the invariant suite; exit 1 on any failure")
-    p.add_argument("--only", choices=["all", "oracle", "counts", "error"], default="all")
     p.add_argument("--corrupt-factor", choices=list(FACTOR_LABELS),
                    help="(testing aid) flip one coefficient before checking")
     p.set_defaults(run=cmd_verify)
@@ -121,19 +95,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args) -> RunConfig:
-    cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    if not cfg.out_dir:
-        cfg.out_dir = os.environ.get(ENV_OUT_DIR, ".")
-    if args.paper_mode:
-        cfg.grid_size = analysis.GRID_SIZE
-        cfg.replicates = 100_000
-        cfg.cost_model = "paper"
+    # The defaults already are the paper's grid and cost model.
+    cfg = RunConfig(replicates=100_000) if args.paper_mode else RunConfig()
     for f in fields(RunConfig):
         value = getattr(args, f.name, None)
-        if value not in (None, ""):   # an empty --out-dir leaves out_dir as is
+        if value is not None:
             setattr(cfg, f.name, value)
-    if cfg.cost_model not in _COST_MODELS:
-        raise ValueError(f"unknown cost model {cfg.cost_model!r}")
     return cfg
 
 
@@ -249,11 +216,8 @@ def cmd_verify(args, cfg: RunConfig) -> int:
         r, c, v = dirty.entries[-1]
         entries = dirty.entries[:-1] + ((r, c, -v),)
         factors[idx] = SparseFactor(dirty.label, dirty.size, entries)
-    # Each section yields (name, ok, detail) and runs only when asked for.
-    sections = {"oracle": _verify_oracle(rng), "counts": _verify_counts(factors),
-                "error": _verify_error(factors, rng)}
-    results = [check for name, checks in sections.items() if args.only in ("all", name)
-               for check in checks]
+    # Each section yields (name, ok, detail).
+    results = [*_verify_oracle(rng), *_verify_counts(factors), *_verify_error(factors, rng)]
     failed = 0
     for name, ok, detail in results:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")

@@ -143,29 +143,38 @@ def read_matrix_csv(path: Path, size: int | None = None) -> np.ndarray:
     """Rebuild a dense complex matrix from row,col,re,im lines.
 
     Works for both the sparse and the dense layout; unlisted cells are zero.
-    Lines are parsed by numpy, _READ_LINES at a time.  A malformed line
-    raises a ValueError naming the path and the line.
+    Lines are parsed by numpy, _READ_LINES at a time.  Given the size, each
+    chunk is placed as it is parsed; without it, the parsed chunks are kept
+    until the largest index is known.  A malformed line raises a ValueError
+    naming the path and the line.
     """
     with open(path, encoding="utf-8") as handle:
         header = handle.readline().rstrip("\n").split(",")
         if tuple(header) != MATRIX_HEADER:
             raise ValueError(f"{path}: unexpected header {header!r}")
+        out = None if size is None else np.zeros((size, size), dtype=complex)
         chunks, first = [], 2
         while lines := list(islice(handle, _READ_LINES)):
             chunks.append(_matrix_lines(lines, path, first, size))
             first += len(lines)
-    if size is None:
+            if out is not None:
+                _place(out, chunks.pop())
+    if out is None:
         if not chunks:
             raise ValueError(f"{path}: no entries to take the size from")
         size = int(max(rec[:, :2].max() for rec in chunks)) + 1
-    out = np.zeros((size, size), dtype=complex)
+        out = np.zeros((size, size), dtype=complex)
     while chunks:
-        rec = chunks.pop(0)   # freed once placed, as the pages of out fill
-        rows, cols = rec[:, 0].astype(np.intp), rec[:, 1].astype(np.intp)
-        # Set the parts separately: re + 1j*im loses the sign of a -0.0.
-        out.real[rows, cols] = rec[:, 2]
-        out.imag[rows, cols] = rec[:, 3]
+        _place(out, chunks.pop(0))   # freed once placed, as the pages of out fill
     return out
+
+
+def _place(out: np.ndarray, rec: np.ndarray) -> None:
+    """Set out's cells from parsed row,col,re,im records."""
+    rows, cols = rec[:, 0].astype(np.intp), rec[:, 1].astype(np.intp)
+    # Set the parts separately: re + 1j*im loses the sign of a -0.0.
+    out.real[rows, cols] = rec[:, 2]
+    out.imag[rows, cols] = rec[:, 3]
 
 
 def write_table_csv(path: Path, header: tuple[str, ...], columns) -> None:

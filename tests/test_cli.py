@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from adft1024 import analysis
-from adft1024.cli import ENV_OUT_DIR, main
+from adft1024.cli import main
 from adft1024.factors import build_w
 from adft1024.radix32 import SIZE
 from adft1024.reports import (read_json, read_matrix_csv, read_table_csv,
@@ -50,16 +50,9 @@ def test_verify_passes_on_fresh_build(capsys):
     assert "PASS kernel-additions" in out
 
 
-def test_verify_subset_flag(capsys):
-    assert run("verify", "--only", "counts") == 0
-    out = capsys.readouterr().out
-    assert "kernel-additions" in out
-    assert "fft32-vs-direct" not in out
-
-
 @pytest.mark.parametrize("label", [f"W{k}" for k in range(8)])
 def test_verify_detects_corrupted_stage(capsys, label):
-    assert run("verify", "--only", "error", "--corrupt-factor", label) == 1
+    assert run("verify", "--corrupt-factor", label) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
 
@@ -94,45 +87,35 @@ def test_snr_rejects_out_of_range_bins(tmp_path):
                "--replicates", "100", "--bins", "0,5000") == 2
 
 
-@pytest.mark.parametrize("argv, config_text, expect", [
-    (("filterbank", "--variant", "alg1", "--grid-size", "1"), "", ""),
-    (("filterbank", "--variant", "alg1", "--grid-size", "16"), "",
-     "grid size 16 divides 1024"),
-    (("snr", "--variant", "alg1", "--replicates", "1"), "", ""),
-    (("snr", "--variant", "alg1", "--replicates", "100", "--seed", "-1"), "", ""),
-    (("snr", "--variant", "alg1", "--replicates", "100", "--noise-var", "0"), "", ""),
-    (("snr", "--variant", "alg1", "--replicates", "100", "--noise-var", "nan"), "", ""),
-    (("snr", "--variant", "alg1", "--replicates", "100", "--noise-var", "inf"), "", ""),
+@pytest.mark.parametrize("argv, expect", [
+    (("filterbank", "--variant", "alg1", "--grid-size", "1"), ""),
+    (("filterbank", "--variant", "alg1", "--grid-size", "16"), "grid size 16 divides 1024"),
+    (("snr", "--variant", "alg1", "--replicates", "1"), ""),
+    (("snr", "--variant", "alg1", "--replicates", "100", "--seed", "-1"), ""),
+    (("snr", "--variant", "alg1", "--replicates", "100", "--noise-var", "0"), ""),
+    (("snr", "--variant", "alg1", "--replicates", "100", "--noise-var", "nan"), ""),
+    (("snr", "--variant", "alg1", "--replicates", "100", "--noise-var", "inf"), ""),
     (("snr", "--variant", "alg1", "--replicates", "50", "--bins", "0,5",
-      "--noise-var", "1e308"), "", "noise variance 1e+308"),
+      "--noise-var", "1e308"), "noise variance 1e+308"),
     (("snr", "--variant", "alg1", "--replicates", "50", "--bins", "0,5",
-      "--noise-var", "1e-320"), "", "noise variance 1e-320"),
-    (("beams", "--variant", "alg1", "--bins", "3", "--angles", "0"), "", ""),
-    (("beams", "--variant", "alg1", "--bins", "3", "--angles", "-1"), "", "angle count"),
-    (("beams", "--variant", "alg1", "--bins", "3,1024"), "", "bins must lie in 0..1023"),
-    (("--config", "{config}", "snr", "--variant", "alg1", "--bins", "0"),
-     "replicates = 1\n", ""),
-    (("--config", "{config}", "complexity"), "cost_model = bogus\n",
-     "unknown cost model 'bogus'"),
-    (("--config", "{config}", "verify", "--only", "counts"), "variant = alg1\n",
-     "unknown key 'variant'"),
-    (("--config", "{config}", "snr", "--variant", "alg1", "--bins", "0"), "seed = 1.5\n",
-     "run.cfg:1: seed: expected an integer, got '1.5'"),
-    (("--out-dir", "{config}/sub", "complexity"), "", "Not a directory"),
+      "--noise-var", "1e-320"), "noise variance 1e-320"),
+    (("beams", "--variant", "alg1", "--bins", "3", "--angles", "0"), ""),
+    (("beams", "--variant", "alg1", "--bins", "3", "--angles", "-1"), "angle count"),
+    (("beams", "--variant", "alg1", "--bins", "3,1024"), "bins must lie in 0..1023"),
+    (("--out-dir", "{file}/sub", "complexity"), "Not a directory"),
 ], ids=["grid-size-1", "grid-size-16", "replicates-1", "seed-negative", "noise-var-0",
         "noise-var-nan", "noise-var-inf", "noise-var-1e308", "noise-var-1e-320", "angles-0",
-        "angles-negative", "bin-1024", "config-replicates-1", "config-cost-model-bogus",
-        "config-variant-key", "config-seed-float", "out-dir-under-a-file"])
-def test_bad_values_exit_2_with_one_line(tmp_path, capsys, argv, config_text, expect):
-    config = tmp_path / "run.cfg"
-    config.write_text(config_text)
-    argv = [a.format(config=config) for a in argv]
+        "angles-negative", "bin-1024", "out-dir-under-a-file"])
+def test_bad_values_exit_2_with_one_line(tmp_path, capsys, argv, expect):
+    file = tmp_path / "file"   # a regular file, for an --out-dir beneath it
+    file.touch()
+    argv = [a.format(file=file) for a in argv]
     assert run("--out-dir", str(tmp_path), *argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert expect in err
-    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
 
 def test_allocation_failure_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
@@ -180,28 +163,23 @@ def test_filterbank_csv_round_trip(tmp_path):
     assert -10.0 < stats["max_db"] < -8.0
 
 
-def test_config_file_applies_and_flags_override(tmp_path):
+def test_settings_come_from_flags_only(tmp_path, monkeypatch):
+    # No config file, no verify subset and no output directory from the environment.
     config = tmp_path / "run.cfg"
-    config.write_text("seed = 7\nreplicates = 400\n")
-    out_a = tmp_path / "a"
-    out_b = tmp_path / "b"
-    assert run("--out-dir", str(out_a), "--config", str(config), "snr",
-               "--variant", "alg1", "--bins", "0,64") == 0
-    assert run("--out-dir", str(out_b), "snr", "--variant", "alg1",
-               "--replicates", "400", "--seed", "7", "--bins", "0,64") == 0
-    assert (out_a / "snr_alg1.csv").read_bytes() == (out_b / "snr_alg1.csv").read_bytes()
-
-
-def test_config_rejects_unknown_keys(tmp_path):
-    config = tmp_path / "run.cfg"
-    config.write_text("replicas = 12\n")
-    assert run("--config", str(config), "verify", "--only", "counts") == 2
-
-
-def test_env_var_sets_default_out_dir(tmp_path, monkeypatch):
-    monkeypatch.setenv(ENV_OUT_DIR, str(tmp_path))
+    config.write_text("seed = 7\n")
+    for argv in (("--config", str(config), "verify"), ("verify", "--only", "counts")):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 2
+    env_dir, cwd = tmp_path / "a", tmp_path / "b"
+    env_dir.mkdir()
+    cwd.mkdir()
+    monkeypatch.setenv("ADFT1024_OUT_DIR", str(env_dir))
+    monkeypatch.chdir(cwd)
     assert run("complexity") == 0
-    assert (tmp_path / "complexity_sequential.json").exists()
+    assert sorted(p.name for p in cwd.iterdir()) == ["complexity_circuit.json",
+                                                     "complexity_sequential.json"]
+    assert list(env_dir.iterdir()) == []
 
 
 def test_paper_mode_pins_reproduction_settings():

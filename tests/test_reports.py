@@ -14,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 
 from adft1024 import reports
 from adft1024.factors import build_w
+from adft1024.radix32 import Variant, transform_matrix
 from adft1024.reports import (FLOAT_FMT, _table_text, read_json, read_matrix_csv, read_table_csv,
                               write_dense_matrix_csv, write_json,
                               write_sparse_factor_csv, write_table_csv)
@@ -157,6 +158,15 @@ def test_dense_matrix_read_memory_is_bounded(tmp_path, rng):
     back, peak = traced_peak(lambda: read_matrix_csv(path))
     assert np.array_equal(back, m)
     assert peak < 4 * back.nbytes
+
+
+def test_sized_dense_read_places_each_chunk_as_parsed(tmp_path):
+    m = transform_matrix(Variant.ALG1)
+    path = tmp_path / "dense_alg1.csv"
+    write_dense_matrix_csv(path, m)
+    back, peak = traced_peak(lambda: read_matrix_csv(path, size=1024))
+    assert np.array_equal(back.view(np.uint64), m.view(np.uint64))
+    assert peak < 1.5 * back.nbytes
 
 
 EDGE_FLOATS = st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1.5e300, -1.5e300])

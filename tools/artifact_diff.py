@@ -1,6 +1,6 @@
 """Compare the CLI artifacts of a git revision with those of the working tree.
 
-    python tools/artifact_diff.py REV
+    python tools/artifact_diff.py REV [--expect NAMES]
 
 REV's src/ is extracted with `git archive`; one fixed list of commands runs
 on it and on the working tree's src/, each command in a fresh process with
@@ -9,10 +9,25 @@ command's stdout, stderr and exit code (out-dir path normalised) gets one
 `same` or `differs` line; a differing CSV or JSON also gets the largest
 absolute and relative difference per numeric column or key.  Exit status 1
 if anything differs.
+
+With --expect, NAMES (separated by spaces) declares the artifacts that may
+differ, and the exit status is 1 if any artifact differs that no name
+declares, or if any declared name matches no differing artifact.  An empty
+NAMES declares nothing, so nothing may differ.  The names are:
+
+  * a written file's name, such as `dense_alg1.csv`: the file of that name
+    from every command that writes one (`filterbank_alg3.csv` covers all
+    three filterbank runs on alg3);
+  * `console:<command>`, such as `console:verify`: the stdout, stderr and
+    exit code of every command whose CLI subcommand is <command>.
+
+CI reads NAMES from a line `ARTIFACTS: NAME ...` among the lines that
+CHANGES.md gained against the base revision.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -104,10 +119,12 @@ def numeric_diff(old: Path, new: Path) -> list[str]:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print("usage: python tools/artifact_diff.py REV", file=sys.stderr)
-        return 2
-    rev = argv[0]
+    parser = argparse.ArgumentParser(prog="artifact_diff.py")
+    parser.add_argument("rev")
+    parser.add_argument("--expect", metavar="NAMES",
+                        help="the artifact names that may differ; all others must not")
+    args = parser.parse_args(argv)
+    rev = args.rev
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         archive = subprocess.run(["git", "archive", rev, "src"], cwd=REPO,
@@ -121,12 +138,12 @@ def main(argv: list[str]) -> int:
             print(f"{rev if side == 'rev' else 'working tree'}: {len(COMMANDS)} commands"
                   f" in {time.perf_counter() - start:.1f} s")
 
-        differs = 0
-        for i, args in enumerate(COMMANDS):
-            name = " ".join(args)
+        differed = []   # the --expect name of every differing artifact
+        for i, cmd in enumerate(COMMANDS):
+            name = " ".join(cmd)
             old_dir, new_dir = tmp / "out_rev" / str(i), tmp / "out_tree" / str(i)
             same = consoles["rev"][i] == consoles["tree"][i]
-            differs += not same
+            differed += [] if same else [f"console:{cmd[0]}"]
             print(f"{'same' if same else 'differs'}  {name}: stdout, stderr, exit code")
             for file in sorted({p.name for p in old_dir.iterdir()}
                                | {p.name for p in new_dir.iterdir()}):
@@ -137,10 +154,19 @@ def main(argv: list[str]) -> int:
                 else:
                     same = old.read_bytes() == new.read_bytes()
                     detail = [] if same else numeric_diff(old, new)
-                differs += not same
+                differed += [] if same else [file]
                 print(f"{'same' if same else 'differs'}  {name}: {file}", *detail, sep="\n")
-    print(f"{differs} artifact(s) differ")
-    return 1 if differs else 0
+    print(f"{len(differed)} artifact(s) differ")
+    if args.expect is None:
+        return 1 if differed else 0
+    declared = set(args.expect.split())
+    undeclared = sorted(set(differed) - declared)
+    unchanged = sorted(declared - set(differed))
+    if undeclared:
+        print("differ but not declared:", *undeclared)
+    if unchanged:
+        print("declared but do not differ:", *unchanged)
+    return 1 if undeclared or unchanged else 0
 
 
 if __name__ == "__main__":
