@@ -155,10 +155,12 @@ def read_matrix_csv(path: Path, size: int | None = None) -> np.ndarray:
         out = None if size is None else np.zeros((size, size), dtype=complex)
         chunks, first = [], 2
         while lines := list(islice(handle, _READ_LINES)):
-            chunks.append(_matrix_lines(lines, path, first, size))
+            rec = _matrix_lines(lines, path, first, size)
             first += len(lines)
             if out is not None:
-                _place(out, chunks.pop())
+                _place(out, rec)
+            else:
+                chunks.append(rec)
     if out is None:
         if not chunks:
             raise ValueError(f"{path}: no entries to take the size from")

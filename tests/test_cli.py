@@ -189,6 +189,10 @@ def test_paper_mode_pins_reproduction_settings():
     assert cfg.grid_size == 8192
     assert cfg.replicates == 100_000
     assert cfg.cost_model == "paper"
+    # An explicit flag overrides the paper-mode value.
+    args = build_parser().parse_args(["--paper-mode", "snr", "--variant", "alg1",
+                                      "--replicates", "500"])
+    assert _resolve_config(args).replicates == 500
 
 
 @pytest.mark.parametrize("argv, files", [

@@ -7,13 +7,13 @@ on it and on the working tree's src/, each command in a fresh process with
 one BLAS thread and its own output directory.  Every written file and each
 command's stdout, stderr and exit code (out-dir path normalised) gets one
 `same` or `differs` line; a differing CSV or JSON also gets the largest
-absolute and relative difference per numeric column or key.  Exit status 1
-if anything differs.
+absolute and relative difference per numeric column or key.
 
-With --expect, NAMES (separated by spaces) declares the artifacts that may
-differ, and the exit status is 1 if any artifact differs that no name
-declares, or if any declared name matches no differing artifact.  An empty
-NAMES declares nothing, so nothing may differ.  The names are:
+--expect NAMES (separated by spaces) declares the artifacts that may differ.
+The exit status is 1 if any artifact differs that no name declares, or if
+any declared name matches no differing artifact.  Without --expect, or with
+an empty NAMES, nothing is declared, so the exit status is 1 if anything
+differs.  The names are:
 
   * a written file's name, such as `dense_alg1.csv`: the file of that name
     from every command that writes one (`filterbank_alg3.csv` covers all
@@ -121,8 +121,9 @@ def numeric_diff(old: Path, new: Path) -> list[str]:
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(prog="artifact_diff.py")
     parser.add_argument("rev")
-    parser.add_argument("--expect", metavar="NAMES",
-                        help="the artifact names that may differ; all others must not")
+    parser.add_argument("--expect", metavar="NAMES", default="",
+                        help="the artifact names that may differ; all others must not"
+                             " (default: none)")
     args = parser.parse_args(argv)
     rev = args.rev
     with tempfile.TemporaryDirectory() as tmp:
@@ -157,8 +158,6 @@ def main(argv: list[str]) -> int:
                 differed += [] if same else [file]
                 print(f"{'same' if same else 'differs'}  {name}: {file}", *detail, sep="\n")
     print(f"{len(differed)} artifact(s) differ")
-    if args.expect is None:
-        return 1 if differed else 0
     declared = set(args.expect.split())
     undeclared = sorted(set(differed) - declared)
     unchanged = sorted(declared - set(differed))
