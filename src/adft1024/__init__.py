@@ -3,9 +3,8 @@ compositions, and the accompanying accuracy/complexity analysis toolkit."""
 
 from .factors import (FACTOR_LABELS, MultiplicationError, STAGE_ADDITIONS,
                       SparseFactor, TOTAL_ADDITIONS, all_factors, build_b, build_w)
-from .transforms import (OUTPUT_SCALE, adft32_apply, adft32_matrix, best_fit_scale,
-                         dft_direct, dft_matrix, factor_product, fft_radix2,
-                         idft_direct)
+from .transforms import (OUTPUT_SCALE, adft32_apply, adft32_matrix, dft_direct,
+                         dft_matrix, factor_product, fft_radix2)
 from .radix32 import (APPROX_VARIANTS, SIZE, TwiddleMatrix, Variant, VARIANTS,
                       invvec, transform_1024, transform_matrix, twiddle_matrix, vec)
 from .complexity import (ADFT32_CIRCUIT, ADFT32_SEQUENTIAL, CircuitReport,

@@ -146,6 +146,7 @@ def filterbank_error(variant: Variant, grid_size: int = GRID_SIZE) -> RowErrorSt
         err *= 20
         np.maximum(err, DB_FLOOR, out=err)
         lower[block], upper[block] = err.min(axis=1), err.max(axis=1)
+        err.sort(axis=1)
         curves[1:4, block] = np.percentile(err, [25, 50, 75], axis=1, overwrite_input=True)
 
     energy = np.empty(SIZE)

@@ -108,13 +108,13 @@ def _float(text: str, path: Path, line: int) -> float:
         raise ValueError(f"{path}, line {line}: {text!r} is not a number") from None
 
 
-def _matrix_lines(lines: list[str], path: Path, first: int, size: int | None) -> np.ndarray:
+def _matrix_lines(lines: list[str], path: Path, first: int, size: int) -> np.ndarray:
     """Parse row,col,re,im lines to a (lines, 4) array; lines[0] is line `first`.
 
-    Each row and col must be an integer in [0, size), or >= 0 when size is
-    None.  When numpy rejects the chunk, a line-by-line pass names the first
-    line with the wrong field count or a field float() rejects; a field only
-    numpy rejects (such as 1_0) is reported with the chunk's line range.
+    Each row and col must be an integer in [0, size).  When numpy rejects
+    the chunk, a line-by-line pass names the first line with the wrong field
+    count or a field float() rejects; a field only numpy rejects (such as
+    1_0) is reported with the chunk's line range.
     """
     try:
         rec = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
@@ -130,53 +130,35 @@ def _matrix_lines(lines: list[str], path: Path, first: int, size: int | None) ->
                 _float(field, path, line)
         raise ValueError(f"{path}, lines {first}-{first + len(lines) - 1}: {exc}") from None
     index = rec[:, :2]
-    limit = np.inf if size is None else size
-    bad = ~((index >= 0) & (index < limit) & (index == np.floor(index)))
+    bad = ~((index >= 0) & (index < size) & (index == np.floor(index)))
     if bad.any():
         j, f = divmod(int(bad.argmax()), 2)
         raise ValueError(f"{path}, line {first + j}: {MATRIX_HEADER[f]} {index[j, f]:g} "
-                         f"is not an integer in [0, {limit})")
+                         f"is not an integer in [0, {size})")
     return rec
 
 
-def read_matrix_csv(path: Path, size: int | None = None) -> np.ndarray:
-    """Rebuild a dense complex matrix from row,col,re,im lines.
+def read_matrix_csv(path: Path, size: int) -> np.ndarray:
+    """Rebuild a dense size x size complex matrix from row,col,re,im lines.
 
     Works for both the sparse and the dense layout; unlisted cells are zero.
-    Lines are parsed by numpy, _READ_LINES at a time.  Given the size, each
-    chunk is placed as it is parsed; without it, the parsed chunks are kept
-    until the largest index is known.  A malformed line raises a ValueError
-    naming the path and the line.
+    Lines are parsed by numpy, _READ_LINES at a time, and each chunk is
+    placed as it is parsed.  A malformed line raises a ValueError naming the
+    path and the line.
     """
     with open(path, encoding="utf-8") as handle:
         header = handle.readline().rstrip("\n").split(",")
         if tuple(header) != MATRIX_HEADER:
             raise ValueError(f"{path}: unexpected header {header!r}")
-        out = None if size is None else np.zeros((size, size), dtype=complex)
-        chunks, first = [], 2
+        out, first = np.zeros((size, size), dtype=complex), 2
         while lines := list(islice(handle, _READ_LINES)):
             rec = _matrix_lines(lines, path, first, size)
             first += len(lines)
-            if out is not None:
-                _place(out, rec)
-            else:
-                chunks.append(rec)
-    if out is None:
-        if not chunks:
-            raise ValueError(f"{path}: no entries to take the size from")
-        size = int(max(rec[:, :2].max() for rec in chunks)) + 1
-        out = np.zeros((size, size), dtype=complex)
-    while chunks:
-        _place(out, chunks.pop(0))   # freed once placed, as the pages of out fill
+            rows, cols = rec[:, 0].astype(np.intp), rec[:, 1].astype(np.intp)
+            # Set the parts separately: re + 1j*im loses the sign of a -0.0.
+            out.real[rows, cols] = rec[:, 2]
+            out.imag[rows, cols] = rec[:, 3]
     return out
-
-
-def _place(out: np.ndarray, rec: np.ndarray) -> None:
-    """Set out's cells from parsed row,col,re,im records."""
-    rows, cols = rec[:, 0].astype(np.intp), rec[:, 1].astype(np.intp)
-    # Set the parts separately: re + 1j*im loses the sign of a -0.0.
-    out.real[rows, cols] = rec[:, 2]
-    out.imag[rows, cols] = rec[:, 3]
 
 
 def write_table_csv(path: Path, header: tuple[str, ...], columns) -> None:

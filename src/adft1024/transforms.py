@@ -1,11 +1,11 @@
 """Reference DFT/FFT paths and the multiplierless 32-point kernel.
 
-The exact transforms use the unitary convention (1/sqrt(N) on both the
-forward and inverse paths).  The 32-point kernel is the eight-stage sparse
-product from :mod:`adft1024.factors`; the raw product has Gaussian-integer
-entries and coincides with the unnormalized exact kernel rounded entrywise
-to the nearest Gaussian integer, so the unitary-comparable version is the
-raw product scaled by 1/sqrt(32).
+The exact transforms use the unitary convention (scaled by 1/sqrt(N)).
+The 32-point kernel is the eight-stage sparse product from
+:mod:`adft1024.factors`; the raw product has Gaussian-integer entries and
+coincides with the unnormalized exact kernel rounded entrywise to the
+nearest Gaussian integer, so the unitary-comparable version is the raw
+product scaled by 1/sqrt(32).
 """
 
 from __future__ import annotations
@@ -60,11 +60,6 @@ def dft_direct(x: np.ndarray) -> np.ndarray:
     if x.ndim not in (1, 2):
         raise ValueError(f"input must have shape (N,) or (N, B), not {x.shape}")
     return dft_matrix(x.shape[0]) @ x
-
-
-def idft_direct(X: np.ndarray) -> np.ndarray:
-    """Direct unitary inverse DFT, conj(F conj(X)); round-trips dft_direct to 1e-10."""
-    return dft_direct(np.conj(X)).conj()
 
 
 @lru_cache(maxsize=16)
@@ -141,14 +136,3 @@ def adft32_apply(x: np.ndarray) -> np.ndarray:
         cols_out[:, cols] *= OUTPUT_SCALE
     return y
 
-
-def best_fit_scale(approx: np.ndarray, exact: np.ndarray) -> float:
-    """Real s minimizing ||s*approx - exact||_F (closed-form least squares)."""
-    approx = np.asarray(approx, dtype=complex)
-    exact = np.asarray(exact, dtype=complex)
-    if approx.shape != exact.shape:
-        raise ValueError("matrices must have the same shape")
-    denom = float(np.real(np.vdot(approx, approx)))
-    if denom == 0.0:
-        raise ValueError("cannot fit a scale to the zero matrix")
-    return float(np.real(np.vdot(approx, exact)) / denom)

@@ -219,7 +219,7 @@ def test_every_artifact_reads_back(tmp_path, argv, files):
         if name.endswith(".json"):
             write_json(again, read_json(path))
         elif name.startswith("dense_"):
-            write_dense_matrix_csv(again, read_matrix_csv(path))
+            write_dense_matrix_csv(again, read_matrix_csv(path, size=SIZE))
         else:
             if name.startswith("W"):
                 np.testing.assert_array_equal(read_matrix_csv(path, size=32),

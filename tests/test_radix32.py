@@ -179,6 +179,33 @@ def test_pipeline_looks_up_each_kernel_by_name_rows_first(variant, monkeypatch, 
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
+def test_pipeline_orientation_with_asymmetric_kernels(variant, monkeypatch):
+    # The library's kernels and twiddle grid are all symmetric, so they
+    # cannot tell K from K.T.  Two random kernels can: the pipeline and the
+    # factored rows must equal (Kc x I) diag(vec(T)) (I x Kr) P, built here
+    # with P the stride permutation (P x)[32i + c] = x[32c + i].
+    rng = np.random.default_rng(13)
+    exact, approx = (rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
+                     for _ in range(2))
+    assert not np.allclose(exact, exact.T) and not np.allclose(approx, approx.T)
+    monkeypatch.setattr(radix32, "dft_direct", lambda cols: exact @ cols)
+    monkeypatch.setattr(radix32, "adft32_apply", lambda cols: approx @ cols)
+    monkeypatch.setattr(radix32, "dft_matrix", lambda n: exact)
+    monkeypatch.setattr(radix32, "adft32_matrix", lambda: approx)
+    kr, kc = {Variant.EXACT: (exact, exact), Variant.ALG1: (approx, approx),
+              Variant.ALG2: (approx, exact), Variant.ALG3: (exact, approx)}[variant]
+    m = np.arange(32)
+    t = np.exp(-2j * np.pi * (np.outer(m, m) % SIZE) / SIZE).ravel(order="F")
+    n = np.arange(SIZE)
+    p = np.eye(SIZE)[32 * (n % 32) + n // 32]
+    eye = np.eye(32)
+    x = complex_vector(rng, SIZE * 4).reshape(SIZE, 4)
+    ref = np.kron(kc, eye) @ (t[:, None] * (np.kron(eye, kr) @ (p @ x)))
+    for got in (transform_1024(x, variant), _rows(variant, range(SIZE)) @ x):
+        assert np.linalg.norm(got - ref) / np.linalg.norm(ref) < 1e-12
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
 def test_batch_columns_at_pass_boundaries_equal_single_calls(variant, rng):
     # Each kernel works along axis 0 of a (32, 32, B) view, at most
     # _COLUMN_CHUNK columns per pass.  Up to _COLUMN_CHUNK vectors, a pass

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from adft1024.factors import all_factors
 from adft1024.transforms import (_COLUMN_CHUNK, OUTPUT_SCALE, adft32_apply,
-                                 adft32_matrix, best_fit_scale, dft_direct,
-                                 dft_matrix, factor_product, fft_radix2,
-                                 idft_direct)
+                                 adft32_matrix, dft_direct, dft_matrix,
+                                 factor_product, fft_radix2)
 
 from conftest import complex_vector, traced_peak
 
@@ -28,10 +27,9 @@ def test_dft_matrix_n2():
 def test_dft_matrix_rejects_zero():
     with pytest.raises(ValueError):
         dft_matrix(0)
-    # A 0-d input has no length: the direct paths name the shapes they take.
-    for direct in (dft_direct, idft_direct):
-        with pytest.raises(ValueError, match=r"\(N,\) or \(N, B\)"):
-            direct(np.float64(1.0))
+    # A 0-d input has no length: the direct path names the shapes it takes.
+    with pytest.raises(ValueError, match=r"\(N,\) or \(N, B\)"):
+        dft_direct(np.float64(1.0))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16, 32, 37, 64, 1000, 1024, 2048])
@@ -69,24 +67,6 @@ def test_pure_exponential_hits_single_bin():
     assert abs(abs(got[5]) - math.sqrt(32)) < 1e-10
     rest = np.delete(np.abs(got), 5)
     assert rest.max() <= 1e-10
-
-
-def test_idft_of_scaled_dc_is_all_ones():
-    x = np.zeros(32, dtype=complex)
-    x[0] = math.sqrt(32)
-    np.testing.assert_allclose(idft_direct(x), np.ones(32), atol=1e-12)
-
-
-def test_idft_round_trip_random(rng):
-    x = complex_vector(rng, 32)
-    got = idft_direct(dft_direct(x))
-    assert np.linalg.norm(got - x) / np.linalg.norm(x) < 1e-10
-
-
-def test_idft_round_trip_ramp():
-    x = np.arange(32, dtype=complex)
-    got = idft_direct(dft_direct(x))
-    assert np.linalg.norm(got - x) / np.linalg.norm(x) < 1e-10
 
 
 @settings(max_examples=30, deadline=None)
@@ -255,29 +235,3 @@ def test_worst_row_response_error_near_minus_ten_db():
     worst_db = 20 * np.log10((np.abs(h_hat - h_exact).max(axis=1) / peak).max())
     assert -11.5 <= worst_db <= -9.5
 
-
-def test_best_fit_scale_identity():
-    f = dft_matrix(32)
-    assert best_fit_scale(f, f) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_best_fit_scale_inverse_of_doubling():
-    f = dft_matrix(32)
-    assert best_fit_scale(2 * np.asarray(f), f) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_best_fit_scale_rejects_zero_matrix():
-    with pytest.raises(ValueError):
-        best_fit_scale(np.zeros((2, 2)), np.eye(2))
-
-
-def test_best_fit_scale_of_raw_kernel_matches_lstsq_oracle():
-    raw = factor_product(all_factors())
-    f32 = np.asarray(dft_matrix(32))
-    got = best_fit_scale(raw, f32)
-    # independent oracle: real least squares on the stacked re/im system
-    design = np.concatenate([raw.real.ravel(), raw.imag.ravel()])[:, None]
-    target = np.concatenate([f32.real.ravel(), f32.imag.ravel()])
-    ref = float(np.linalg.lstsq(design, target, rcond=None)[0][0])
-    assert got == pytest.approx(ref, abs=1e-12)
-    assert got == pytest.approx(0.14877702668826304, abs=1e-12)

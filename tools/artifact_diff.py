@@ -49,6 +49,9 @@ COMMANDS = [
     ["filterbank", "--variant", "alg3", "--grid-size", "1000"],
     ["filterbank", "--variant", "alg3", "--grid-size", "37"],
     *(["snr", "--variant", v, "--seed", "7"] for v in VARIANTS[1:]),
+    # Every default bin is a multiple of 16, where alg2's rounded row kernel
+    # is exact; these bins are not, so its kernel shows in the SNR.
+    ["snr", "--variant", "alg2", "--seed", "7", "--bins", "1,37,500,1023"],
     *(["beams", "--variant", v, "--bins", "3,100,777"] for v in VARIANTS),
     ["verify"],
     ["verify", "--corrupt-factor", "W3"],
