@@ -246,13 +246,6 @@ class SnrReport:
     seed: int
 
 
-def _noise_stream(seed: int, replicate: int, n: int, sigma2: float) -> np.ndarray:
-    """Complex AWGN for one replicate from its own (seed, index) substream."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(replicate,))
-    raw = np.random.Generator(np.random.PCG64(ss)).standard_normal(2 * n)
-    return np.sqrt(sigma2 / 2.0) * raw.view(complex)
-
-
 @np.errstate(all="ignore")   # a non-finite estimate is refused below instead
 def snr_monte_carlo(variant: Variant, bins, replicates: int = REPLICATES,
                     noise_var: float = 1.0, seed: int = 0) -> SnrReport:
@@ -284,9 +277,14 @@ def snr_monte_carlo(variant: Variant, bins, replicates: int = REPLICATES,
     done = 0
     while done < replicates:
         count = min(_REPLICATE_CHUNK, replicates - done)
+        # Each replicate's AWGN comes from its own (seed, index) substream,
+        # drawn straight into its row; the chunk is scaled once.
         noise = np.empty((count, SIZE), dtype=complex)
+        parts = noise.view(float)
         for i in range(count):
-            noise[i] = _noise_stream(seed, done + i, SIZE, noise_var)
+            ss = np.random.SeedSequence(entropy=seed, spawn_key=(done + i,))
+            np.random.Generator(np.random.PCG64(ss)).standard_normal(out=parts[i])
+        parts *= np.sqrt(noise_var / 2.0)
         outputs = noise @ rows.T
         sums += outputs.sum(axis=0)
         sq += (outputs.real ** 2 + outputs.imag ** 2).sum(axis=0)

@@ -45,13 +45,15 @@ def _route(coeff, re, im):
 class SparseFactor:
     """One sparse stage: positioned unit coefficients applied with adds only.
 
-    entries holds (row, col, coeff) triples with coeff in {+1, -1, +j, -j}.
-    Instances are treated as immutable after construction.
+    entries holds (row, col, coeff) triples with coeff in {+1, -1, +j, -j};
+    is_real is True when every coefficient is +1 or -1.  Instances are
+    treated as immutable after construction.
     """
 
     label: str
     size: int
     entries: tuple[tuple[int, int, complex], ...]
+    is_real: bool = field(init=False, repr=False, compare=False)
     _rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -71,6 +73,7 @@ class SparseFactor:
         if any(not terms for terms in rows):
             raise ValueError(f"{self.label}: has an all-zero row")
         self._rows = tuple(tuple(t) for t in rows)
+        self.is_real = all(v.imag == 0 for _, _, v in self.entries)
 
     def nonzeros_per_row(self) -> np.ndarray:
         return np.array([len(t) for t in self._rows])
@@ -89,7 +92,8 @@ class SparseFactor:
         """Apply to separate re/im lanes of scalar-like objects.
 
         A lane is anything supporting +, - and unary negation: a float, a
-        numpy row array (as adft32_apply passes) or an op-counting stand-in.
+        real or complex numpy row array (as adft32_apply passes) or an
+        op-counting stand-in.
         Each output row is one add/subtract chain from a routed first term.
         """
         if len(re) != self.size or len(im) != self.size:

@@ -144,7 +144,9 @@ def read_matrix_csv(path: Path, size: int) -> np.ndarray:
     Works for both the sparse and the dense layout; unlisted cells are zero.
     Lines are parsed by numpy, _READ_LINES at a time, and each chunk is
     placed as it is parsed.  A malformed line raises a ValueError naming the
-    path and the line.
+    path and the line, and so does a file with no line after its header.  A
+    file cut exactly at a line boundary still reads as a matrix whose lost
+    cells are zero: neither layout records its entry count.
     """
     with open(path, encoding="utf-8") as handle:
         header = handle.readline().rstrip("\n").split(",")
@@ -158,6 +160,8 @@ def read_matrix_csv(path: Path, size: int) -> np.ndarray:
             # Set the parts separately: re + 1j*im loses the sign of a -0.0.
             out.real[rows, cols] = rec[:, 2]
             out.imag[rows, cols] = rec[:, 3]
+    if first == 2:
+        raise ValueError(f"{path}: no entries after the header")
     return out
 
 

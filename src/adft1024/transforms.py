@@ -25,7 +25,7 @@ from .factors import all_factors
 OUTPUT_SCALE = 1.0 / math.sqrt(32.0)
 
 # Columns per kernel pass, in adft32_apply and in the 1024-point pipeline's
-# in-place passes (radix32._kernel): 1 MiB per re/im lane set.  Wider passes
+# in-place passes (radix32._kernel): 2 MiB per complex lane set.  Wider passes
 # spread the chains' fixed per-call cost further, but the pass buffers grow
 # with the width; 4096 is the widest that keeps the kernel's peak memory
 # below 1.5x its output.
@@ -114,22 +114,33 @@ def adft32_matrix() -> np.ndarray:
 def adft32_apply(x: np.ndarray) -> np.ndarray:
     """Apply the 32-point kernel, OUTPUT_SCALE included, to x ((32,) or (32, B)).
 
-    Runs the counted adds-only row chains (SparseFactor.apply_scalars) on
-    contiguous re/im row lanes, _COLUMN_CHUNK columns per pass.  The output
+    Runs the counted adds-only row chains (SparseFactor.apply_scalars),
+    _COLUMN_CHUNK columns per pass.  The leading stages whose coefficients
+    are all +-1 act alike on both parts, so they run on complex row lanes,
+    one numpy add per complex add, beside an im lane of float zeros whose
+    results are dropped.  From the first stage with a +-j coefficient on,
+    the lanes split into re/im views of those rows.  numpy's complex add,
+    subtract and negate do the two lane operations part by part, so the
+    output has the bits of the split chain, NaN payloads aside.  The output
     scale is one scalar multiply of each pass's output slice while it is
     still in cache.
     """
     x = np.asarray(x, dtype=complex)
     if x.shape[:1] != (32,):
         raise ValueError(f"kernel input must have shape (32,) or (32, B), not {x.shape}")
+    factors = all_factors()
+    split = next((i for i, f in enumerate(factors) if not f.is_real), len(factors))
+    zeros = [0.0] * 32
     y = np.empty(x.shape, dtype=complex)
     cols_in = x.reshape(32, x.size // 32)
     cols_out = y.reshape(cols_in.shape)
     for start in range(0, cols_in.shape[1], _COLUMN_CHUNK):
         cols = slice(start, start + _COLUMN_CHUNK)
-        re = list(np.ascontiguousarray(cols_in[:, cols].real))
-        im = list(np.ascontiguousarray(cols_in[:, cols].imag))
-        for f in all_factors():
+        z = list(np.ascontiguousarray(cols_in[:, cols]))
+        for f in factors[:split]:
+            z, _ = f.apply_scalars(z, zeros)
+        re, im = [v.real for v in z], [v.imag for v in z]
+        for f in factors[split:]:
             re, im = f.apply_scalars(re, im)
         cols_out.real[:, cols] = re
         cols_out.imag[:, cols] = im

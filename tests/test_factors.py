@@ -73,6 +73,7 @@ def test_only_last_stage_is_complex():
         assert np.all(f.to_dense().imag == 0), f.label
     w7 = build_w(7).to_dense()
     assert np.any(w7.imag != 0)
+    assert [f.is_real for f in all_factors()] == [True] * 7 + [False]
 
 
 def test_every_stage_is_invertible():

@@ -64,8 +64,9 @@ def test_readers_reject_an_empty_file_by_name(tmp_path, reader):
     ("0,0,1,2\n\n", ", line 3", "1 fields, not 4"),
     ("0,0,1,2\n0,0,1,2\n0,0,1,x\n", ", line 4", "'x' is not a number"),
     ("0,0,1,2\n0,0,1,2\n0,0,1_0,0\n", ", lines 4-4", "could not convert string '1_0'"),
+    ("", "", "no entries after the header"),
 ], ids=["negative", "fraction", "too-large", "short-row", "short-row-after-good",
-        "long-row", "blank-line", "not-a-number", "numpy-rejects"])
+        "long-row", "blank-line", "not-a-number", "numpy-rejects", "header-only"])
 def test_matrix_reader_names_the_broken_line(tmp_path, body, where, problem):
     # Two lines per chunk: line numbers count from the top of the file, not
     # from the start of the chunk.

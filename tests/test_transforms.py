@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from adft1024 import transforms
 from adft1024.factors import all_factors
 from adft1024.transforms import (_COLUMN_CHUNK, OUTPUT_SCALE, adft32_apply,
                                  adft32_matrix, dft_direct, dft_matrix,
@@ -197,6 +198,39 @@ def test_per_pass_scale_equals_whole_array_scale(rng):
     x = complex_vector(rng, 32 * columns).reshape(32, columns)
     np.testing.assert_array_equal(_bits(adft32_apply(x)),
                                   _bits(OUTPUT_SCALE * _raw_chain(x)))
+
+
+@np.errstate(invalid="ignore")   # inf - inf and inf * 0 make NaNs on purpose
+def test_complex_lanes_keep_the_split_chain_bits_on_zeros_and_infinities(rng):
+    # The +-1 stages run on complex lanes: each complex add, subtract and
+    # negate must give both parts the bits of the two re/im lane ops, signed
+    # zeros and infinities included.  NaN payloads may differ, so NaNs are
+    # compared by where they fall.
+    columns = _COLUMN_CHUNK + 5
+    parts = rng.choice([0.0, -0.0, 0.0, -0.0, 1.0, -2.5], size=(2, 32, columns))
+    # One infinite part in every third column, so most outputs keep it.
+    infinite = np.arange(0, columns, 3)
+    parts[rng.integers(0, 2, infinite.size), rng.integers(0, 32, infinite.size),
+          infinite] = rng.choice([np.inf, -np.inf], infinite.size)
+    x = np.empty((32, columns), dtype=complex)
+    x.real, x.imag = parts
+    got, want = adft32_apply(x).view(float), (OUTPUT_SCALE * _raw_chain(x)).view(float)
+    nan = np.isnan(want)
+    assert nan.any() and np.isinf(want).any() and (np.signbit(want) & (want == 0)).any()
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    np.testing.assert_array_equal(_bits(got[~nan]), _bits(want[~nan]))
+
+
+@pytest.mark.parametrize("order", [(7, 0, 1, 2, 3, 4, 5, 6), (0, 1, 2, 7, 3, 4, 5, 6)],
+                         ids=["j-stage-first", "j-stage-fourth"])
+def test_apply_picks_its_lanes_by_coefficient_not_position(monkeypatch, order):
+    # Stages before the first +-j stage run on complex lanes with a zero im
+    # lane; a +-j stage reaching those lanes would route the zeros in.
+    factors = tuple(all_factors()[k] for k in order)
+    monkeypatch.setattr(transforms, "all_factors", lambda: factors)
+    x = np.array([[(5 * r + 3 * c) % 17 - 8 + 1j * ((7 * r + c) % 13 - 6) for c in range(5)]
+                  for r in range(32)])
+    np.testing.assert_array_equal(adft32_apply(x), OUTPUT_SCALE * (factor_product(factors) @ x))
 
 
 def test_apply_peak_memory_stays_near_output_size():
