@@ -10,29 +10,17 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis, complexity, reports
-from .factors import FACTOR_LABELS, STAGE_ADDITIONS, SparseFactor, all_factors, build_w
+from .factors import FACTOR_LABELS, STAGE_ADDITIONS, SparseFactor, all_factors
 from .radix32 import (APPROX_VARIANTS, SIZE, Variant, VARIANTS, invvec, transform_1024,
                       transform_matrix, twiddle_matrix, vec)
 from .transforms import OUTPUT_SCALE, dft_direct, dft_matrix, factor_product, fft_radix2
 
 _COST_MODELS = sorted(s.value for s in complexity.ComplexMultScheme)
-
-
-@dataclass
-class RunConfig:
-    """The settings a command runs with: defaults, then --paper-mode, then flags."""
-
-    out_dir: str = "."
-    grid_size: int = analysis.GRID_SIZE
-    replicates: int = analysis.REPLICATES
-    seed: int = 0
-    cost_model: str = "paper"
 
 
 def _parse_bins(text: str) -> list[int]:
@@ -49,10 +37,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="adft1024",
         description="Multiplierless approximate-DFT transform and analysis reports.")
-    parser.add_argument("--out-dir", help="output directory (default .)")
+    parser.add_argument("--out-dir", type=Path, default=".", help="output directory (default .)")
     parser.add_argument("--paper-mode", action="store_true",
-                        help=f"pin grid {analysis.GRID_SIZE}, replicates 100000 and the"
-                             " 3M/3A cost model")
+                        help="run snr with 100000 replicates unless --replicates is given")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-matrix", help="emit kernel factors or a dense transform matrix")
@@ -66,21 +53,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser("complexity", help="emit sequential and circuit complexity reports")
-    p.add_argument("--model", dest="cost_model", choices=_COST_MODELS, default=None)
+    p.add_argument("--model", dest="cost_model", choices=_COST_MODELS, default="paper")
     p.add_argument("--count-trivial", action="store_true",
                    help="cost all 1024 twiddles instead of the 961 nontrivial ones")
     p.set_defaults(run=cmd_complexity)
 
     p = sub.add_parser("filterbank", help="emit frequency-response error curves and stats")
     p.add_argument("--variant", choices=[v.value for v in VARIANTS], required=True)
-    p.add_argument("--grid-size", type=int, default=None)
+    p.add_argument("--grid-size", type=int, default=analysis.GRID_SIZE)
     p.set_defaults(run=cmd_filterbank)
 
     p = sub.add_parser("snr", help="emit Monte-Carlo per-bin SNR estimates")
     p.add_argument("--variant", choices=[v.value for v in APPROX_VARIANTS], required=True)
     p.add_argument("--replicates", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--bins", type=_parse_bins, default=None,
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--bins", type=_parse_bins, default=list(range(0, SIZE, SIZE // 64)),
                    help="comma-separated bin list (default: 64 evenly spaced)")
     p.add_argument("--noise-var", type=float, default=1.0)
     p.set_defaults(run=cmd_snr)
@@ -94,30 +81,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_config(args) -> RunConfig:
-    # The defaults already are the paper's grid and cost model.
-    cfg = RunConfig(replicates=100_000) if args.paper_mode else RunConfig()
-    for f in fields(RunConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            setattr(cfg, f.name, value)
-    return cfg
-
-
-def cmd_gen_matrix(args, cfg: RunConfig) -> int:
-    out = Path(cfg.out_dir)
+def cmd_gen_matrix(args) -> int:
     variant = Variant(args.variant)
     if args.what == "factors":
         if variant is Variant.EXACT:
-            print("error: the exact variant has no sparse factors", file=sys.stderr)
-            return 2
-        for label in FACTOR_LABELS:
-            factor = build_w(int(label[1]))
-            reports.write_sparse_factor_csv(out / f"{label}.csv", factor)
-        print(f"wrote {len(FACTOR_LABELS)} factor files to {out}")
+            raise ValueError("the exact variant has no sparse factors")
+        factors = all_factors()
+        for factor in factors:
+            reports.write_sparse_factor_csv(args.out_dir / f"{factor.label}.csv", factor)
+        print(f"wrote {len(factors)} factor files to {args.out_dir}")
         return 0
     matrix = transform_matrix(variant)
-    path = out / f"dense_{variant.value}.csv"
+    path = args.out_dir / f"dense_{variant.value}.csv"
     reports.write_dense_matrix_csv(path, matrix)
     print(f"wrote {path}")
     return 0
@@ -207,7 +182,7 @@ def _verify_error(factors, rng):
     yield ("vec-invvec-roundtrip", np.array_equal(vec(invvec(x)), x), "exact")
 
 
-def cmd_verify(args, cfg: RunConfig) -> int:
+def cmd_verify(args) -> int:
     rng = np.random.default_rng(2024)
     factors = list(all_factors())
     if args.corrupt_factor:
@@ -226,48 +201,47 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     return 1 if failed else 0
 
 
-def cmd_complexity(args, cfg: RunConfig) -> int:
-    out = Path(cfg.out_dir)
+def cmd_complexity(args) -> int:
     model = complexity.CostModel(
-        complex_mult_scheme=complexity.ComplexMultScheme(cfg.cost_model),
+        complex_mult_scheme=complexity.ComplexMultScheme(args.cost_model),
         count_trivial_twiddles=args.count_trivial,
     )
     sequential = [complexity.count_sequential(v, model).to_json_dict() for v in VARIANTS]
     circuits = [complexity.circuit_complexity(v).to_json_dict() for v in VARIANTS]
-    reports.write_json(out / "complexity_sequential.json", sequential)
-    reports.write_json(out / "complexity_circuit.json", circuits)
-    print(f"wrote complexity reports to {out}")
+    reports.write_json(args.out_dir / "complexity_sequential.json", sequential)
+    reports.write_json(args.out_dir / "complexity_circuit.json", circuits)
+    print(f"wrote complexity reports to {args.out_dir}")
     return 0
 
 
-def cmd_filterbank(args, cfg: RunConfig) -> int:
-    out = Path(cfg.out_dir)
+def cmd_filterbank(args) -> int:
     variant = Variant(args.variant)
-    stats = analysis.filterbank_error(variant, cfg.grid_size)
+    stats = analysis.filterbank_error(variant, args.grid_size)
     reports.write_table_csv(
-        out / f"filterbank_{variant.value}.csv",
+        args.out_dir / f"filterbank_{variant.value}.csv",
         ("frequency", "lower", "q1", "q2", "q3", "upper"),
         (stats.frequencies, stats.lower_envelope, stats.q1, stats.q2,
          stats.q3, stats.upper_envelope))
-    reports.write_json(out / f"filterbank_{variant.value}_stats.json", {
+    reports.write_json(args.out_dir / f"filterbank_{variant.value}_stats.json", {
         "variant": variant.value,
         "min_db": stats.min_db,
         "mean_db": stats.mean_db,
         "max_db": stats.max_db,
-        "grid_size": cfg.grid_size,
+        "grid_size": args.grid_size,
     })
-    print(f"wrote filterbank reports for {variant.value} to {out}")
+    print(f"wrote filterbank reports for {variant.value} to {args.out_dir}")
     return 0
 
 
-def cmd_snr(args, cfg: RunConfig) -> int:
-    out = Path(cfg.out_dir)
+def cmd_snr(args) -> int:
     variant = Variant(args.variant)
-    bins = args.bins if args.bins is not None else list(range(0, SIZE, SIZE // 64))
-    report = analysis.snr_monte_carlo(variant, bins, replicates=cfg.replicates,
-                                      noise_var=args.noise_var, seed=cfg.seed)
+    replicates = args.replicates
+    if replicates is None:
+        replicates = 100_000 if args.paper_mode else analysis.REPLICATES
+    report = analysis.snr_monte_carlo(variant, args.bins, replicates=replicates,
+                                      noise_var=args.noise_var, seed=args.seed)
     reports.write_table_csv(
-        out / f"snr_{variant.value}.csv",
+        args.out_dir / f"snr_{variant.value}.csv",
         ("bin", "snr_exact_db", "snr_variant_db", "degradation_db"),
         (report.bins, report.snr_exact_db, report.snr_variant_db,
          report.degradation_db))
@@ -276,18 +250,17 @@ def cmd_snr(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_beams(args, cfg: RunConfig) -> int:
-    out = Path(cfg.out_dir)
+def cmd_beams(args) -> int:
     variant = Variant(args.variant)
     bins = list(dict.fromkeys(args.bins))  # one file per bin, first-seen order
     patterns = analysis.beam_pattern(variant, bins, analysis.default_angles(args.angles))
     for pattern in patterns:
         reports.write_table_csv(
-            out / f"beam_{variant.value}_{pattern.bin_index}.csv",
+            args.out_dir / f"beam_{variant.value}_{pattern.bin_index}.csv",
             ("angle_rad", "gain_re", "gain_im", "gain_abs"),
             (pattern.angles, pattern.gain.real, pattern.gain.imag,
              pattern.magnitude))
-    print(f"wrote {len(patterns)} beam files to {out}")
+    print(f"wrote {len(patterns)} beam files to {args.out_dir}")
     return 0
 
 
@@ -295,7 +268,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.run(args, _resolve_config(args))
+        return args.run(args)
     except (MemoryError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -24,7 +24,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .transforms import _COLUMN_CHUNK, _readonly, adft32_apply, adft32_matrix, dft_direct, dft_matrix
+from .transforms import (_COLUMN_CHUNK, _readonly, _roots, adft32_apply, adft32_matrix, dft_direct,
+                         dft_matrix)
 
 N = 32
 SIZE = N * N
@@ -72,8 +73,7 @@ class TwiddleMatrix:
 def twiddle_matrix() -> TwiddleMatrix:
     m, n = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
     prod = m * n
-    entries = np.exp(-2j * np.pi * (prod % SIZE) / SIZE)
-    return TwiddleMatrix(entries=_readonly(entries),
+    return TwiddleMatrix(entries=_readonly(_roots(SIZE)[prod % SIZE]),
                          trivial_mask=_readonly(prod % SIZE == 0))
 
 

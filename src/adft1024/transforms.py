@@ -38,17 +38,25 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
+def _roots(n: int) -> np.ndarray:
+    """The n roots of unity omega_n^k = exp(-2j*pi*k/n), k = 0..n-1; read-only.
+
+    The one root table of the exact references: dft_matrix, the twiddle grid
+    and fft_radix2 index it.
+    """
+    return _readonly(np.exp(-2j * np.pi * np.arange(n) / n))
+
+
+@lru_cache(maxsize=16)
 def dft_matrix(n: int) -> np.ndarray:
     """Unitary n-point DFT matrix: entry (k, m) = omega_n^{km} / sqrt(n).
 
-    The n distinct roots are computed once and indexed by k*m mod n; each
-    entry has the bits of exp(-2j*pi*(k*m % n)/n) / sqrt(n) taken directly.
+    Entry (k, m) is _roots(n)[k*m mod n] / sqrt(n).
     """
     if n < 1:
         raise ValueError("transform size must be >= 1")
     k = np.arange(n)
-    roots = np.exp(-2j * np.pi * k / n) / math.sqrt(n)
-    return _readonly(roots[np.multiply.outer(k, k) % n])
+    return _readonly((_roots(n) / math.sqrt(n))[np.multiply.outer(k, k) % n])
 
 
 def dft_direct(x: np.ndarray) -> np.ndarray:
@@ -64,11 +72,10 @@ def dft_direct(x: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _bit_reverse_indices(n: int) -> np.ndarray:
+    # Index i as a bits-digit binary number on the axes; reversing the axes
+    # reverses its digits.
     bits = n.bit_length() - 1
-    rev = np.zeros(n, dtype=np.intp)
-    for i in range(n):
-        rev[i] = int(format(i, f"0{bits}b")[::-1], 2) if bits else 0
-    return _readonly(rev)
+    return _readonly(np.arange(n).reshape((2,) * bits).T.ravel())
 
 
 def fft_radix2(x: np.ndarray) -> np.ndarray:
@@ -81,10 +88,12 @@ def fft_radix2(x: np.ndarray) -> np.ndarray:
     if x.ndim != 1 or n < 1 or n & (n - 1):
         raise ValueError(f"radix-2 FFT requires shape (N,), N a power of two, not {x.shape}")
     y = x[_bit_reverse_indices(n)].copy()
+    roots = _roots(n)
     m = 2
     while m <= n:
         half = m // 2
-        tw = np.exp(-2j * np.pi * np.arange(half) / m)
+        # omega_m^j is omega_n^(j*n/m) bit for bit: n/m is a power of two.
+        tw = roots[:n // 2:n // m]
         blocks = y.reshape(n // m, m)
         even = blocks[:, :half].copy()
         odd = blocks[:, half:] * tw

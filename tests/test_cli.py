@@ -103,9 +103,12 @@ def test_snr_rejects_out_of_range_bins(tmp_path):
     (("beams", "--variant", "alg1", "--bins", "3", "--angles", "-1"), "angle count"),
     (("beams", "--variant", "alg1", "--bins", "3,1024"), "bins must lie in 0..1023"),
     (("--out-dir", "{file}/sub", "complexity"), "Not a directory"),
+    (("gen-matrix", "--variant", "exact", "--what", "factors"),
+     "error: the exact variant has no sparse factors\n"),
+    (("snr", "--variant", "alg1", "--replicates", "0"), ""),
 ], ids=["grid-size-1", "grid-size-16", "replicates-1", "seed-negative", "noise-var-0",
         "noise-var-nan", "noise-var-inf", "noise-var-1e308", "noise-var-1e-320", "angles-0",
-        "angles-negative", "bin-1024", "out-dir-under-a-file"])
+        "angles-negative", "bin-1024", "out-dir-under-a-file", "exact-factors", "replicates-0"])
 def test_bad_values_exit_2_with_one_line(tmp_path, capsys, argv, expect):
     file = tmp_path / "file"   # a regular file, for an --out-dir beneath it
     file.touch()
@@ -182,17 +185,26 @@ def test_settings_come_from_flags_only(tmp_path, monkeypatch):
     assert list(env_dir.iterdir()) == []
 
 
-def test_paper_mode_pins_reproduction_settings():
-    from adft1024.cli import _resolve_config, build_parser
-    args = build_parser().parse_args(["--paper-mode", "snr", "--variant", "alg1"])
-    cfg = _resolve_config(args)
-    assert cfg.grid_size == 8192
-    assert cfg.replicates == 100_000
-    assert cfg.cost_model == "paper"
+def test_paper_mode_pins_reproduction_settings(tmp_path, monkeypatch):
+    from adft1024.cli import build_parser
+    # The defaults already are the paper's grid and cost model.
+    parse = build_parser().parse_args
+    assert parse(["--paper-mode", "filterbank", "--variant", "alg1"]).grid_size == 8192
+    assert parse(["--paper-mode", "complexity"]).cost_model == "paper"
+    seen = []
+    real = analysis.snr_monte_carlo
+
+    def record(variant, bins, replicates, **kwargs):
+        seen.append(replicates)
+        return real(variant, bins, replicates=50, **kwargs)
+
+    monkeypatch.setattr(analysis, "snr_monte_carlo", record)
+    snr = ("--out-dir", str(tmp_path), "snr", "--variant", "alg1", "--bins", "5")
+    assert run("--paper-mode", *snr) == 0
     # An explicit flag overrides the paper-mode value.
-    args = build_parser().parse_args(["--paper-mode", "snr", "--variant", "alg1",
-                                      "--replicates", "500"])
-    assert _resolve_config(args).replicates == 500
+    assert run("--paper-mode", *snr, "--replicates", "500") == 0
+    assert run(*snr) == 0
+    assert seen == [100_000, 500, 10_000]
 
 
 @pytest.mark.parametrize("argv, files", [
