@@ -22,6 +22,7 @@ import numpy as np
 
 from .radix32 import N, SIZE, Variant, _row_factors, _rows
 from .radix32 import transform_matrix  # noqa: F401 - unused; perfbench wraps it by name
+from .transforms import _roots
 
 DB_FLOOR = -60.0
 # Defaults of the analyses, shared with the CLI.
@@ -268,8 +269,8 @@ def snr_monte_carlo(variant: Variant, bins, replicates: int = REPLICATES,
 
     # Variant rows, then exact rows: each noise chunk feeds both in one matmul.
     rows = np.concatenate([_rows(variant, bins), _rows(Variant.EXACT, bins)])
-    n = np.arange(SIZE)
-    probes = np.exp(2j * np.pi * np.outer(bins, n) / SIZE)
+    # From the root table: exp(j*2*pi*k*n/SIZE) with k*n reduced mod SIZE exactly.
+    probes = _roots(SIZE)[np.outer(bins, np.arange(SIZE)) % SIZE].conj()
     det = np.einsum("bn,bn->b", rows, np.concatenate([probes, probes]))
 
     sums = np.zeros(rows.shape[0], complex)

@@ -1,12 +1,14 @@
 """Arithmetic and circuit complexity accounting for the 1024-point variants.
 
 Two kinds of numbers live here.  Sequential counts tally real operations of
-a one-at-a-time evaluation: the twiddle stage contributes one complex
-product per nontrivial weight, the exact 32-point kernel is costed at its
-radix-2 figure, and the multiplierless kernel at its instrumented addition
-count.  Circuit counts model the time-multiplexed radix-32 datapath: one
-bank of 32 Gauss complex multipliers for the twiddles plus one hardware
-core per kernel position.
+a one-at-a-time evaluation under one complex-multiplication convention: the
+twiddle stage contributes one complex product per nontrivial weight, an
+exact transform (the 1024-point reference, or a 32-point kernel inside the
+radix-32 variants) is costed by counting a radix-2 FFT over its twiddle
+schedule, and the multiplierless kernel at its instrumented addition count.
+Circuit counts model the time-multiplexed radix-32 datapath: one bank of 32
+Gauss complex multipliers for the twiddles plus one hardware core per
+kernel position.
 """
 
 from __future__ import annotations
@@ -15,28 +17,23 @@ import enum
 from dataclasses import asdict, dataclass
 
 from .factors import MultiplicationError, TOTAL_ADDITIONS, all_factors
-from .radix32 import Variant
+from .radix32 import N, SIZE, Variant
 
-# Sequential real-operation reference totals for the full 1024-point
-# transform paths (multiplications, additions).
-RADIX2_1024 = (10248, 30728)
-
-# One 32-point block, sequential: exact kernel via radix-2, and the
-# adds-only kernel.
-DFT32_SEQUENTIAL = (88, 408)
+# One adds-only 32-point block, sequential.
 ADFT32_SEQUENTIAL = (0, TOTAL_ADDITIONS)
 
 NONTRIVIAL_TWIDDLES = 961
 ALL_TWIDDLES = 1024
 
-# Hardware multiplier/adder circuit counts per block.
+# Hardware multiplier/adder circuit counts per block.  The exact core is the
+# published figure: no radix-2 count gives its 78 multipliers.
 TWIDDLE_CIRCUIT = (96, 160)     # 32 parallel Gauss complex multipliers
 DFT32_CIRCUIT = (78, 398)
 ADFT32_CIRCUIT = (0, TOTAL_ADDITIONS)
 
 # Reference sequential totals per variant (multiplications, additions).
 REFERENCE_SEQUENTIAL = {
-    Variant.EXACT: RADIX2_1024,
+    Variant.EXACT: (10248, 30728),
     Variant.ALG1: (2883, 25155),
     Variant.ALG2: (5699, 27075),
     Variant.ALG3: (5699, 27075),
@@ -131,6 +128,26 @@ def twiddle_cost(model: CostModel) -> tuple[int, int]:
     return products * m_per, products * a_per
 
 
+def radix2_cost(n: int, scheme: ComplexMultScheme) -> tuple[int, int]:
+    """(mults, adds) of an n-point radix-2 decimation-in-time FFT, n a power of two.
+
+    Counted from the twiddle schedule: every butterfly costs two complex adds;
+    the stage-m twiddle omega_m^j is free when it is +-1 or +-j, costs 2M/2A
+    when it is (+-1 +-j)/sqrt(2), and otherwise one complex product under
+    the scheme.  The final 1/sqrt(n) scaling is not counted.
+    """
+    if n < 1 or n & (n - 1):
+        raise ValueError(f"radix-2 FFT size must be a power of two, not {n}")
+    stages = n.bit_length() - 1
+    mults, adds = 0, 2 * n * stages   # n/2 butterflies a stage, 2 complex adds each
+    for m in (2 ** s for s in range(1, stages + 1)):
+        for j in range(m // 2):       # omega_m^j, used by n/m butterflies
+            if 4 * j % m:
+                cost = (2, 2) if 8 * j % m == 0 else scheme.real_ops
+                mults, adds = mults + n // m * cost[0], adds + n // m * cost[1]
+    return mults, adds
+
+
 def _kernel_positions(variant: Variant, exact: tuple[int, int],
                       approx: tuple[int, int]) -> tuple[int, int]:
     """Summed (mults, adds) of one row-position and one column-position block."""
@@ -141,14 +158,14 @@ def _kernel_positions(variant: Variant, exact: tuple[int, int],
 def count_sequential(variant: Variant, model: CostModel = CostModel()) -> ComplexityReport:
     """Sequential operation count of one 1024-point evaluation."""
     ref_m, ref_a = REFERENCE_SEQUENTIAL[variant]
+    scheme = model.complex_mult_scheme
     if variant is Variant.EXACT:
-        # Stored radix-2 reference totals; not derived from the block model.
-        mults, adds = RADIX2_1024
+        mults, adds = radix2_cost(SIZE, scheme)
     else:
         tw_m, tw_a = twiddle_cost(model)
-        # Each kernel position runs 32 blocks.
-        block_m, block_a = _kernel_positions(variant, DFT32_SEQUENTIAL, ADFT32_SEQUENTIAL)
-        mults, adds = tw_m + 32 * block_m, tw_a + 32 * block_a
+        # Each kernel position runs N blocks.
+        block_m, block_a = _kernel_positions(variant, radix2_cost(N, scheme), ADFT32_SEQUENTIAL)
+        mults, adds = tw_m + N * block_m, tw_a + N * block_a
     return ComplexityReport(
         variant=variant,
         real_mults=mults,

@@ -1,6 +1,7 @@
-"""Reference DFT/FFT paths and the multiplierless 32-point kernel.
+"""The exact DFT and the multiplierless 32-point kernel.
 
-The exact transforms use the unitary convention (scaled by 1/sqrt(N)).
+The one exact transform is the direct matmul dft_direct, in the unitary
+convention (scaled by 1/sqrt(N)).
 The 32-point kernel is the eight-stage sparse product from
 :mod:`adft1024.factors`; the raw product has Gaussian-integer entries and
 coincides with the unnormalized exact kernel rounded entrywise to the
@@ -42,7 +43,7 @@ def _roots(n: int) -> np.ndarray:
     """The n roots of unity omega_n^k = exp(-2j*pi*k/n), k = 0..n-1; read-only.
 
     The one root table of the exact references: dft_matrix, the twiddle grid
-    and fft_radix2 index it.
+    and the SNR probes index it.
     """
     return _readonly(np.exp(-2j * np.pi * np.arange(n) / n))
 
@@ -68,39 +69,6 @@ def dft_direct(x: np.ndarray) -> np.ndarray:
     if x.ndim not in (1, 2):
         raise ValueError(f"input must have shape (N,) or (N, B), not {x.shape}")
     return dft_matrix(x.shape[0]) @ x
-
-
-@lru_cache(maxsize=16)
-def _bit_reverse_indices(n: int) -> np.ndarray:
-    # Index i as a bits-digit binary number on the axes; reversing the axes
-    # reverses its digits.
-    bits = n.bit_length() - 1
-    return _readonly(np.arange(n).reshape((2,) * bits).T.ravel())
-
-
-def fft_radix2(x: np.ndarray) -> np.ndarray:
-    """Iterative radix-2 decimation-in-time FFT, unitary scaling.
-
-    Matches dft_direct to 1e-10 relative on a vector (N,), N a power of two.
-    """
-    x = np.asarray(x, dtype=complex)
-    n = x.size
-    if x.ndim != 1 or n < 1 or n & (n - 1):
-        raise ValueError(f"radix-2 FFT requires shape (N,), N a power of two, not {x.shape}")
-    y = x[_bit_reverse_indices(n)].copy()
-    roots = _roots(n)
-    m = 2
-    while m <= n:
-        half = m // 2
-        # omega_m^j is omega_n^(j*n/m) bit for bit: n/m is a power of two.
-        tw = roots[:n // 2:n // m]
-        blocks = y.reshape(n // m, m)
-        even = blocks[:, :half].copy()
-        odd = blocks[:, half:] * tw
-        blocks[:, :half] = even + odd
-        blocks[:, half:] = even - odd
-        m *= 2
-    return y / math.sqrt(n)
 
 
 def factor_product(factors) -> np.ndarray:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from adft1024 import analysis
+from adft1024 import analysis, cli
 from adft1024.cli import main
 from adft1024.factors import build_w
 from adft1024.radix32 import SIZE
@@ -55,6 +55,15 @@ def test_verify_detects_corrupted_stage(capsys, label):
     assert run("verify", "--corrupt-factor", label) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
+
+
+def test_verify_fails_on_a_wrong_oracle(capsys, monkeypatch):
+    dft_direct = cli.dft_direct
+    monkeypatch.setattr(cli, "dft_direct", lambda x: dft_direct(x) * (1 + 1e-8))
+    assert run("verify") == 1
+    failed = [line.split()[1].rstrip(":") for line in capsys.readouterr().out.splitlines()
+              if line.startswith("FAIL")]
+    assert failed == ["fft32-vs-direct", "fft1024-vs-direct", "exact-pipeline-vs-direct"]
 
 
 def test_complexity_reports(tmp_path):

@@ -1,12 +1,13 @@
 """Sequential operation counts, instrumented counting, and circuit totals."""
 
+import numpy as np
 import pytest
 
 from adft1024.complexity import (ADFT32_SEQUENTIAL, ComplexMultScheme,
-                                 CostModel, DFT32_SEQUENTIAL, NONTRIVIAL_TWIDDLES,
-                                 RADIX2_1024, adft32_addition_profile, circuit_complexity,
+                                 CostModel, NONTRIVIAL_TWIDDLES,
+                                 adft32_addition_profile, circuit_complexity,
                                  count_instrumented_adft32, count_sequential,
-                                 twiddle_cost)
+                                 radix2_cost, twiddle_cost)
 from adft1024.factors import MultiplicationError, STAGE_ADDITIONS
 from adft1024.complexity import CountingFloat, _OpCounter
 from adft1024.radix32 import Variant, twiddle_matrix
@@ -60,9 +61,54 @@ def test_multiplication_counts_are_monotone():
 
 
 def test_reference_constants():
-    assert RADIX2_1024 == (10248, 30728)
-    assert DFT32_SEQUENTIAL == (88, 408)
+    assert radix2_cost(1024, ComplexMultScheme.PAPER_3M3A) == (10248, 30728)
+    assert radix2_cost(32, ComplexMultScheme.PAPER_3M3A) == (88, 408)
     assert ADFT32_SEQUENTIAL == (0, 348)
+
+
+def _radix2_oracle(n, scheme):
+    """Radix-2 DIT count from the twiddle values: stage m uses omega_m^j, j < m/2,
+    in n/m butterflies; each butterfly adds two complex values twice."""
+    mults, adds = 0, 0
+    m = 2
+    while m <= n:
+        w = np.exp(-2j * np.pi * np.arange(m // 2) / m)
+        re, im = np.abs(w.real), np.abs(w.imag)
+        free = np.isclose(re, 0, rtol=0, atol=1e-12) | np.isclose(im, 0, rtol=0, atol=1e-12)
+        eighth = ~free & np.isclose(re, im, rtol=0, atol=1e-12)
+        general = ~free & ~eighth
+        per_m, per_a = scheme.real_ops
+        mults += n // m * (2 * int(eighth.sum()) + per_m * int(general.sum()))
+        adds += n // m * (2 * int(eighth.sum()) + per_a * int(general.sum()) + 4 * (m // 2))
+        m *= 2
+    return mults, adds
+
+
+@pytest.mark.parametrize("scheme", list(ComplexMultScheme), ids=lambda s: s.value)
+def test_radix2_cost_matches_the_twiddle_values(scheme):
+    for k in range(13):
+        assert radix2_cost(2 ** k, scheme) == _radix2_oracle(2 ** k, scheme), k
+
+
+def test_exact_kernels_follow_the_cost_model():
+    expected = {
+        GAUSS: {Variant.EXACT: (10248, 36880), Variant.ALG1: (2883, 27077),
+                Variant.ALG2: (5699, 30277), Variant.ALG3: (5699, 30277)},
+        DIRECT: {Variant.EXACT: (13324, 27652), Variant.ALG1: (3844, 24194),
+                 Variant.ALG2: (7300, 25474), Variant.ALG3: (7300, 25474)},
+    }
+    assert radix2_cost(32, GAUSS.complex_mult_scheme) == (88, 448)
+    assert radix2_cost(32, DIRECT.complex_mult_scheme) == (108, 388)
+    for model, rows in expected.items():
+        for variant, counts in rows.items():
+            rep = count_sequential(variant, model)
+            assert (rep.real_mults, rep.real_adds) == counts, (model, variant)
+
+
+@pytest.mark.parametrize("n", [0, 24])
+def test_radix2_cost_rejects_non_power_of_two(n):
+    with pytest.raises(ValueError, match="power of two"):
+        radix2_cost(n, ComplexMultScheme.PAPER_3M3A)
 
 
 def test_instrumented_kernel_run():
