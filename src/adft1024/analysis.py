@@ -56,8 +56,12 @@ def _check_row_grid(m: int) -> None:
 
 
 def _checked_bins(bins) -> list[int]:
-    """The requested bins as ints, at least one, each in 0..SIZE-1."""
-    bins = [int(k) for k in np.atleast_1d(bins)]
+    """The requested bins as ints, at least one, each an integer in 0..SIZE-1."""
+    # Check the elements as passed: an array would cast True to 1.
+    bins = list(bins) if np.iterable(bins) else [np.asarray(bins)[()]]
+    if any(isinstance(k, bool) or not isinstance(k, (int, np.integer)) for k in bins):
+        raise ValueError("bins must be integers")
+    bins = [int(k) for k in bins]
     if not bins:
         raise ValueError("at least one bin is required")
     if any(not 0 <= k < SIZE for k in bins):

@@ -2,13 +2,13 @@
 
 Two kinds of numbers live here.  Sequential counts tally real operations of
 a one-at-a-time evaluation under one complex-multiplication convention: the
-twiddle stage contributes one complex product per nontrivial weight, an
-exact transform (the 1024-point reference, or a 32-point kernel inside the
-radix-32 variants) is costed by counting a radix-2 FFT over its twiddle
-schedule, and the multiplierless kernel at its instrumented addition count.
-Circuit counts model the time-multiplexed radix-32 datapath: one bank of 32
-Gauss complex multipliers for the twiddles plus one hardware core per
-kernel position.
+twiddle stage contributes one complex product per nontrivial weight of the
+twiddle grid, an exact transform (the 1024-point reference, or a 32-point
+kernel inside the radix-32 variants) is costed by counting a radix-2 FFT over
+its twiddle schedule, and the multiplierless kernel at the addition count
+observed by running its factors on counting lanes.  Circuit counts model the
+time-multiplexed radix-32 datapath: one bank of 32 Gauss complex multipliers
+for the twiddles plus one hardware core per kernel position.
 """
 
 from __future__ import annotations
@@ -16,20 +16,15 @@ from __future__ import annotations
 import enum
 from dataclasses import asdict, dataclass
 
-from .factors import MultiplicationError, TOTAL_ADDITIONS, all_factors
-from .radix32 import N, SIZE, Variant
+from .factors import MultiplicationError, all_factors
+from .radix32 import N, SIZE, Variant, twiddle_matrix
 
-# One adds-only 32-point block, sequential.
-ADFT32_SEQUENTIAL = (0, TOTAL_ADDITIONS)
-
-NONTRIVIAL_TWIDDLES = 961
-ALL_TWIDDLES = 1024
-
-# Hardware multiplier/adder circuit counts per block.  The exact core is the
-# published figure: no radix-2 count gives its 78 multipliers.
-TWIDDLE_CIRCUIT = (96, 160)     # 32 parallel Gauss complex multipliers
+# Multiplier/adder circuits of the exact 32-point core: the published figure.
+# It lies on adds = mults + 320, as every 3M/3A count of a 32-point
+# Cooley-Tukey FFT does (320 butterfly adds), but no schedule gives its 78
+# multipliers: radix-2 gives 88, radix-4 with one radix-2 stage 80 or 72, and
+# split-radix 68 (Duhamel and Hollmann, Electron. Lett. 20(1), 1984).
 DFT32_CIRCUIT = (78, 398)
-ADFT32_CIRCUIT = (0, TOTAL_ADDITIONS)
 
 # Reference sequential totals per variant (multiplications, additions).
 REFERENCE_SEQUENTIAL = {
@@ -123,7 +118,7 @@ class CircuitReport:
 
 def twiddle_cost(model: CostModel) -> tuple[int, int]:
     """(mults, adds) of the elementwise twiddle stage under a cost model."""
-    products = ALL_TWIDDLES if model.count_trivial_twiddles else NONTRIVIAL_TWIDDLES
+    products = SIZE if model.count_trivial_twiddles else twiddle_matrix().nontrivial_count
     m_per, a_per = model.complex_mult_scheme.real_ops
     return products * m_per, products * a_per
 
@@ -164,7 +159,8 @@ def count_sequential(variant: Variant, model: CostModel = CostModel()) -> Comple
     else:
         tw_m, tw_a = twiddle_cost(model)
         # Each kernel position runs N blocks.
-        block_m, block_a = _kernel_positions(variant, radix2_cost(N, scheme), ADFT32_SEQUENTIAL)
+        block_m, block_a = _kernel_positions(variant, radix2_cost(N, scheme),
+                                              count_instrumented_adft32())
         mults, adds = tw_m + N * block_m, tw_a + N * block_a
     return ComplexityReport(
         variant=variant,
@@ -178,11 +174,13 @@ def count_sequential(variant: Variant, model: CostModel = CostModel()) -> Comple
 
 def circuit_complexity(variant: Variant) -> CircuitReport:
     """Circuit counts: twiddle multiplier bank plus two kernel cores."""
-    core_m, core_a = _kernel_positions(variant, DFT32_CIRCUIT, ADFT32_CIRCUIT)
+    core_m, core_a = _kernel_positions(variant, DFT32_CIRCUIT, count_instrumented_adft32())
+    # The twiddle bank: 32 parallel Gauss multipliers.
+    bank_m, bank_a = ComplexMultScheme.GAUSS_3M5A.real_ops
     return CircuitReport(
         variant=variant,
-        multiplier_circuits=core_m + TWIDDLE_CIRCUIT[0],
-        adder_circuits=core_a + TWIDDLE_CIRCUIT[1],
+        multiplier_circuits=core_m + N * bank_m,
+        adder_circuits=core_a + N * bank_a,
         paper_table_values=REFERENCE_CIRCUIT[variant],
     )
 

@@ -21,7 +21,6 @@ FACTOR_LABELS = tuple(f"W{k}" for k in range(8))
 # Real additions needed by each stage for one complex input vector: a row
 # with e nonzero coefficients costs 2*(e-1) (one chain per lane).
 STAGE_ADDITIONS = (60, 60, 28, 28, 60, 28, 24, 60)
-TOTAL_ADDITIONS = 348
 
 
 class MultiplicationError(RuntimeError):
@@ -77,10 +76,6 @@ class SparseFactor:
 
     def nonzeros_per_row(self) -> np.ndarray:
         return np.array([len(t) for t in self._rows])
-
-    def real_addition_count(self) -> int:
-        """Adds/subtracts needed for one complex input vector."""
-        return int(2 * (self.nonzeros_per_row() - 1).sum())
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.size, self.size), dtype=complex)

@@ -253,7 +253,13 @@ def test_beam_mirror_symmetry():
     ([SIZE], f"bins must lie in 0..{SIZE - 1}"),
     ([3, SIZE], f"bins must lie in 0..{SIZE - 1}"),
     ([3, -1], f"bins must lie in 0..{SIZE - 1}"),
-], ids=["empty", "negative", "size", "good-and-size", "good-and-negative"])
+    ([3.7], "bins must be integers"),
+    ([3, 16.5], "bins must be integers"),
+    ([True], "bins must be integers"),
+    ([3, True], "bins must be integers"),
+    ([float("inf")], "bins must be integers"),
+], ids=["empty", "negative", "size", "good-and-size", "good-and-negative",
+        "fraction", "good-and-fraction", "bool", "good-and-bool", "inf"])
 def test_analyses_reject_bad_bins_alike(analysis, bins, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         analysis(bins)

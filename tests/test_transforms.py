@@ -88,7 +88,6 @@ def test_factorization_shape_and_scale():
     factors = all_factors()
     assert len(factors) == 8
     assert OUTPUT_SCALE == pytest.approx(1 / math.sqrt(32))
-    assert sum(f.real_addition_count() for f in factors) == 348
 
 
 def _raw_chain(x):

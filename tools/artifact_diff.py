@@ -42,6 +42,8 @@ REPO = Path(__file__).resolve().parents[1]
 VARIANTS = ("exact", "alg1", "alg2", "alg3")
 COMMANDS = [
     ["complexity"],
+    ["complexity", "--count-trivial"],
+    ["complexity", "--model", "direct"],
     ["complexity", "--model", "gauss", "--count-trivial"],
     ["gen-matrix", "--variant", "alg2", "--what", "factors"],
     *(["gen-matrix", "--variant", v, "--what", "dense"] for v in VARIANTS),
